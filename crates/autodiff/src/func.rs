@@ -113,9 +113,9 @@ pub trait DifferentiableFn: Send + Sync {
     /// hot loops (the ADCD-X eigenvalue search evaluates dozens of
     /// Hessians per full sync) can keep one per worker thread and avoid
     /// re-tracing and re-allocating per query. The default delegates to
-    /// [`Self::hessian`]; [`AutoDiffFn`] overrides it with a
-    /// record-once/replay-many graph workspace that is bit-identical to
-    /// the tape path.
+    /// [`Self::hessian`]; [`AutoDiffFn`] overrides it with a record-once
+    /// graph workspace (linearized once per point, then swept) that is
+    /// bit-identical to the tape path.
     fn hessian_eval(&self) -> Box<dyn HessianEvaluator + '_> {
         Box::new(FallbackHessianEval { f: self })
     }
@@ -126,8 +126,9 @@ pub trait DifferentiableFn: Send + Sync {
     /// Lanczos eigen search applies `H(x)·v` dozens of times per probe
     /// point and must never pay for materializing `H`. The default
     /// delegates to [`Self::hvp`] (re-tracing per call);
-    /// [`AutoDiffFn`] overrides it with a record-once/replay-many graph
-    /// workspace whose products are bit-identical to the tape path.
+    /// [`AutoDiffFn`] overrides it with a record-once graph workspace
+    /// that linearizes once per point and sweeps one tangent lane per
+    /// product, bit-identical to the tape path.
     fn hvp_eval(&self) -> Box<dyn HvpEvaluator + '_> {
         Box::new(FallbackHvpEval { f: self })
     }
@@ -189,8 +190,8 @@ impl<F: DifferentiableFn + ?Sized> HvpEvaluator for FallbackHvpEval<'_, F> {
     }
 }
 
-/// Graph-workspace evaluator used by [`AutoDiffFn`]: records the op
-/// structure once per point and replays `d` seed tangents.
+/// Graph-workspace evaluator used by [`AutoDiffFn`]: linearizes the
+/// recorded graph at each point and sweeps `d` unit seed tangents.
 struct GraphHessianEval<'a, F: ScalarFn> {
     f: &'a F,
     ws: GraphWorkspace,
@@ -207,7 +208,7 @@ impl<F: ScalarFn> HessianEvaluator for GraphHessianEval<'_, F> {
 }
 
 /// Graph-workspace HVP evaluator used by [`AutoDiffFn`]: one recorded
-/// graph, one tangent lane per product.
+/// graph, one linearization per point, one tangent lane per product.
 struct GraphHvpEval<'a, F: ScalarFn> {
     f: &'a F,
     ws: GraphWorkspace,

@@ -1,47 +1,67 @@
-//! Record-once / replay-many computation graphs for batched Hessians
-//! and matrix-free Hessian-vector products.
+//! Record-once / linearize-once-per-point / sweep-many computation
+//! graphs for batched Hessians and matrix-free Hessian-vector products.
 //!
 //! The tape in [`crate::Tape`] re-traces the monitored function from
 //! scratch for every derivative query: a full Hessian via
 //! forward-over-reverse costs `d` traces of `f`, each paying `RefCell`
 //! borrows, node pushes, and fresh adjoint allocations. For the ADCD-X
-//! eigenvalue search — dozens of Hessians per full sync — that tracing
-//! overhead dominates.
+//! eigenvalue search — dozens of Hessians or hundreds of
+//! Hessian-vector products per full sync — that tracing overhead
+//! dominates.
 //!
-//! This module records the *op structure* of `f` once per evaluation
-//! point into a flat [`GraphWorkspace`] arena and then replays a single
-//! **batched** forward-over-reverse pass over the frozen graph carrying
-//! all `d` seed tangents side by side ("lanes"), writing the Hessian
-//! straight into a caller-owned matrix. Primal values, op dispatch, and
-//! the adjoint-primal chain are shared across lanes — only the tangent
-//! arithmetic is per-lane — and no allocation happens after the
-//! workspace has warmed up. The same machinery replayed with a *single*
-//! lane seeded by an arbitrary direction yields a Hessian-vector
-//! product ([`GraphWorkspace::hvp_into`]) at O(graph) cost without ever
-//! materializing the Hessian — the substrate for the Lanczos eigen
-//! search.
+//! A [`GraphWorkspace`] splits a derivative query into three phases,
+//! each cached until its inputs change:
+//!
+//! 1. **Record** the *op structure* of `f` into a flat arena. Done once
+//!    per workspace lifetime, or at every new point when the structure
+//!    depends on the point (below).
+//! 2. **Linearize** at `x`: everything that depends on `x` alone — the
+//!    per-node primal values, the local partial primals, which tangent
+//!    row each partial reads (including the numbering of the scratch
+//!    slots that hold materialized partial tangents), the few extra
+//!    primal factors the tangent rules read, and the primal reverse
+//!    adjoints, kept as a flat list of reverse accumulations with their
+//!    primal halves filled in. Done once per point; the cache key is the
+//!    point's exact bits (`f64::to_bits`, so `+0.0` and `-0.0` are
+//!    different points) together with the current recording. A
+//!    re-record, a dimension change, or any query at another point
+//!    replaces the linearization.
+//! 3. **Sweep** tangent lanes against that linearization: one
+//!    forward pass carrying the seed tangents and one reverse pass
+//!    accumulating the adjoint tangents, nothing else. The full Hessian
+//!    ([`GraphWorkspace::hessian_into`]) sweeps all `d` unit seeds side
+//!    by side ("lanes") straight into a caller-owned matrix; a
+//!    Hessian-vector product ([`GraphWorkspace::hvp_into`]) sweeps a
+//!    single lane seeded with the direction, at O(graph) cost without
+//!    materializing the Hessian — the substrate for the Lanczos eigen
+//!    search, which applies `H(x)·v` many times at each probe point.
+//!    Only the tangent buffers are reset per sweep, and no allocation
+//!    happens once the workspace has warmed up.
 //!
 //! # Bit-identity contract
 //!
-//! The replay reproduces the results of the tape path **bit for bit**:
-//! lane `j` performs exactly the scalar arithmetic that a `Tape<Dual>`
-//! run seeded with tangent `e_j` performs, expanded from the `Var<Dual>`
-//! token sequences (e.g. division computes `a * (1/b)` with the
-//! reciprocal materialized first, because that is what `Var::div`
-//! records; a subtraction's right partial carries the `-0.0` tangent of
-//! `-one`), and the reverse sweep accumulates adjoints in the same
-//! operand order as [`crate::Tape::gradient`]. Sharing the primal work
-//! is sound because tangents never feed back into primals. The tests at
-//! the bottom of this file assert exact `f64::to_bits` equality against
-//! the tape-based Hessian across op coverage and probe points; the
-//! ADCD parallel pipeline relies on this to keep `Parallelism` settings
-//! protocol-equivalent.
+//! Results reproduce the tape path **bit for bit**: lane `j` performs
+//! exactly the scalar arithmetic that a `Tape<Dual>` run seeded with
+//! tangent `e_j` (or `v`) performs, expanded from the `Var<Dual>` token
+//! sequences (e.g. division computes `a * (1/b)` with the reciprocal
+//! materialized first, because that is what `Var::div` records; a
+//! subtraction's right partial carries the `-0.0` tangent of `-one`),
+//! and the reverse sweep accumulates adjoints in the same operand order
+//! as [`crate::Tape::gradient`]. Splitting the primal work off into the
+//! linearization is sound because tangents never feed back into
+//! primals, and every tangent expression keeps the tape's token order;
+//! the only primal subterms cached across sweeps are ones whose bits
+//! cannot change. The tests at the bottom of this file assert exact
+//! `f64::to_bits` equality against the tape across op coverage, probe
+//! points, several directions per point, and interleaved Hessian/HVP
+//! queries; the ADCD pipeline relies on this to keep protocol digests
+//! and `Parallelism` settings equivalent.
 //!
 //! Functions whose recorded structure depends on the evaluation point —
 //! `abs`/`max` branches (and thus `relu`/`min`) or data-dependent
 //! control flow through [`Scalar::value`] — are detected during
-//! recording and re-recorded at every new point; everything else is
-//! recorded exactly once per workspace lifetime.
+//! recording and re-recorded (then re-linearized) at every new point;
+//! everything else is recorded exactly once per workspace lifetime.
 
 use crate::{Scalar, ScalarFn};
 use automon_linalg::Matrix;
@@ -59,7 +79,7 @@ enum Operand {
 
 /// One recorded operation. Branches (`abs`, `max`) are resolved at
 /// record time: the chosen side is baked into the opcode, which is valid
-/// because replay happens at the same evaluation point.
+/// because such a graph is re-recorded at every new evaluation point.
 #[derive(Debug, Clone, Copy)]
 enum GOp {
     /// An independent input variable.
@@ -304,22 +324,96 @@ impl<'t> Scalar for GVar<'t> {
     }
 }
 
-/// Where a local partial's tangent lanes live: a constant broadcast to
-/// every lane (`Add`'s `one` has tangent `0.0`, `Sub`'s `-one` has
-/// `-0.0` — the sign matters for bit-identity), the value tangents of an
-/// already-computed node (`Mul` partials are the operand values, `Exp`'s
-/// is its own output), or a scratch slot holding a freshly materialized
-/// expression (`Div`, `Ln`, `Tanh`, …).
-#[derive(Debug, Clone, Copy)]
-enum Tan {
-    Const(f64),
-    Node(u32),
-    Slot(u32),
+/// Seed tangents for a sweep: one unit lane per input (full Hessian)
+/// or a single lane carrying an arbitrary direction (HVP).
+#[derive(Clone, Copy)]
+enum Seeds<'a> {
+    Unit,
+    Vector(&'a [f64]),
 }
 
-/// Reusable arena for batched Hessian evaluation: record the graph of a
-/// [`ScalarFn`] once per point, then replay one forward-over-reverse
-/// pass carrying all `d` unit seed tangents into caller-owned storage.
+// Layout of the tangent buffer, in rows of one value per lane: two
+// constant rows, one row per node (its value tangent), then the scratch
+// slots holding materialized partial tangents (`Div`, `Ln`, `Tanh`, …).
+// A local partial's tangent source is a row index into this buffer.
+
+/// The `0.0` tangent of a constant (`Dual::from_f64`, `Add`'s `one`).
+const ZERO_ROW: u32 = 0;
+/// The `-0.0` tangent of `Sub`'s `-one` (negated zero — the sign
+/// matters for bit-identity).
+const NEG_ZERO_ROW: u32 = 1;
+/// Row of node 0.
+const NODE_ROW0: u32 = 2;
+
+/// Operand → primal value (constants carry their own).
+fn primal(o: Operand, vals_v: &[f64]) -> f64 {
+    match o {
+        Operand::Var(k) => vals_v[k as usize],
+        Operand::Const(c) => c,
+    }
+}
+
+/// Operand → tangent row (constants have the zero tangent).
+fn row_of(o: Operand) -> u32 {
+    match o {
+        Operand::Var(k) => NODE_ROW0 + k,
+        Operand::Const(_) => ZERO_ROW,
+    }
+}
+
+/// Operand → (primal, value-tangent lanes). `rows` holds every row
+/// before the consuming node's own.
+fn res<'a>(o: Operand, vals_v: &[f64], rows: &'a [f64], d: usize) -> (f64, &'a [f64]) {
+    let r = row_of(o) as usize;
+    (primal(o, vals_v), &rows[r * d..(r + 1) * d])
+}
+
+/// The differentiated operands of `op` in the tape's accumulation order:
+/// the `self` partial first, then `other`, skipping constants — exactly
+/// `Tape::gradient`'s compacted-parent order.
+fn parents(op: GOp) -> [Option<u32>; 2] {
+    let var = |o: Operand| match o {
+        Operand::Var(p) => Some(p),
+        Operand::Const(_) => None,
+    };
+    match op {
+        GOp::Input => [None, None],
+        GOp::Add(a, b)
+        | GOp::Sub(a, b)
+        | GOp::Mul(a, b)
+        | GOp::Div(a, b)
+        | GOp::MaxLeft(a, b)
+        | GOp::MaxRight(a, b) => [var(a), var(b)],
+        GOp::Neg(a)
+        | GOp::Exp(a)
+        | GOp::Ln(a)
+        | GOp::Tanh(a)
+        | GOp::Sin(a)
+        | GOp::Cos(a)
+        | GOp::Sqrt(a)
+        | GOp::Powi(a, _)
+        | GOp::AbsPos(a)
+        | GOp::AbsNeg(a) => [var(a), None],
+    }
+}
+
+/// One reverse accumulation `adj[parent] = adj[parent] + partial ·
+/// adj[node]` in Dual arithmetic, with its point-dependent half folded
+/// in: the partial's primal `pv` and tangent row `src`, and the node's
+/// adjoint primal `a_v`. A sweep only runs the tangent half.
+#[derive(Debug, Clone, Copy)]
+struct Acc {
+    node: u32,
+    parent: u32,
+    src: u32,
+    pv: f64,
+    a_v: f64,
+}
+
+/// Reusable arena for batched Hessian and Hessian-vector-product
+/// evaluation: record the graph of a [`ScalarFn`], linearize it once
+/// per point, then sweep tangent lanes into caller-owned storage (see
+/// the module docs for the phases and their cache keys).
 pub struct GraphWorkspace {
     nodes: Vec<GOp>,
     /// Index of the output node of the last recording.
@@ -328,24 +422,31 @@ pub struct GraphWorkspace {
     /// Recording captured point-dependent structure (resolved branches or
     /// `value()` observations) and must be redone at each new point.
     point_dependent: bool,
-    /// The point of the last recording (compared only when
-    /// `point_dependent`).
-    recorded_at: Vec<f64>,
-    /// Per-node forward primal values (lane-independent).
+    /// The linearization buffers below belong to the current recording
+    /// at `lin_at`.
+    linearized: bool,
+    /// The point of the current linearization, compared bitwise.
+    lin_at: Vec<f64>,
+    /// Per-node forward primal values.
     vals_v: Vec<f64>,
-    /// Per-node forward value tangents, `n_inputs` lanes per node.
-    lanes: Vec<f64>,
     /// Per-node local partial primals `[∂/∂a, ∂/∂b]`.
     part_v: Vec<[f64; 2]>,
-    /// Per-node local partial tangent sources.
-    part_t: Vec<[Tan; 2]>,
-    /// Scratch lanes for [`Tan::Slot`] partials.
-    slots: Vec<f64>,
-    /// Reverse adjoint primals and tangent lanes.
+    /// Per-node tangent rows of the local partials.
+    part_t: Vec<[u32; 2]>,
+    /// Per-node primal factors a tangent rule reads beyond its operands,
+    /// output and partials: `Div` → `[(-a)·(1/b), _]`, `Cos` →
+    /// `[sin a, _]`, `Powi(p)` → `[a^(p-1), a^(p-2)]`.
+    aux_v: Vec<[f64; 2]>,
+    /// Number of scratch slot rows the recording uses.
+    n_slots: usize,
+    /// Reverse adjoint primals.
     adj_v: Vec<f64>,
+    /// The reverse pass, flattened in `Tape::gradient`'s order.
+    accs: Vec<Acc>,
+    /// Tangent rows (constant, node and slot rows; see [`NODE_ROW0`]).
+    tan: Vec<f64>,
+    /// Reverse adjoint tangents, one row per node.
     adj_d: Vec<f64>,
-    /// All-zero lane row standing in for constant operands' tangents.
-    zero_lane: Vec<f64>,
 }
 
 impl Default for GraphWorkspace {
@@ -362,15 +463,17 @@ impl GraphWorkspace {
             out: 0,
             n_inputs: 0,
             point_dependent: true,
-            recorded_at: Vec::new(),
+            linearized: false,
+            lin_at: Vec::new(),
             vals_v: Vec::new(),
-            lanes: Vec::new(),
             part_v: Vec::new(),
             part_t: Vec::new(),
-            slots: Vec::new(),
+            aux_v: Vec::new(),
+            n_slots: 0,
             adj_v: Vec::new(),
+            accs: Vec::new(),
+            tan: Vec::new(),
             adj_d: Vec::new(),
-            zero_lane: Vec::new(),
         }
     }
 
@@ -386,6 +489,7 @@ impl GraphWorkspace {
     /// Panics if the output does not depend on the inputs (constant
     /// output), matching the tape's `gradient` contract.
     fn record<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64]) {
+        self.linearized = false;
         let mut nodes = std::mem::take(&mut self.nodes);
         nodes.clear();
         let arena = GraphArena {
@@ -403,8 +507,6 @@ impl GraphWorkspace {
         self.nodes = arena.nodes.into_inner();
         self.point_dependent =
             arena.value_observed.get() || self.nodes.iter().any(GOp::is_branch);
-        self.recorded_at.clear();
-        self.recorded_at.extend_from_slice(x);
     }
 
     /// The full symmetrized Hessian of `f` at `x`, written into `h`.
@@ -416,15 +518,16 @@ impl GraphWorkspace {
         assert_eq!(x.len(), d, "hessian_into: dimension mismatch");
         assert_eq!(h.rows(), d, "hessian_into: output rows");
         assert_eq!(h.cols(), d, "hessian_into: output cols");
-        self.ensure_recorded(f, x, d);
-        self.replay(x, Seeds::Unit, h.as_mut_slice());
+        self.linearize(f, x);
+        self.sweep(Seeds::Unit, h.as_mut_slice());
         h.symmetrize();
     }
 
     /// The Hessian-vector product `H(x)·v` of `f` at `x`, written into
-    /// `out` — one single-lane replay instead of `d` lanes, so a probe
+    /// `out` — one single-lane sweep instead of `d` lanes, so a product
     /// costs O(graph) rather than O(d·graph) and the Hessian is never
-    /// materialized. Bit-identical to [`crate::AutoDiffFn::hvp`] on the
+    /// materialized; repeated products at the same `x` reuse its
+    /// linearization. Bit-identical to [`crate::AutoDiffFn::hvp`] on the
     /// same point and direction (lane 0 computes exactly the `Dual`
     /// sequence a tape run seeded with `v` performs).
     pub fn hvp_into<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64], v: &[f64], out: &mut [f64]) {
@@ -432,30 +535,157 @@ impl GraphWorkspace {
         assert_eq!(x.len(), d, "hvp_into: dimension mismatch");
         assert_eq!(v.len(), d, "hvp_into: direction length");
         assert_eq!(out.len(), d, "hvp_into: output length");
-        self.ensure_recorded(f, x, d);
-        self.replay(x, Seeds::Vector(v), out);
+        self.linearize(f, x);
+        self.sweep(Seeds::Vector(v), out);
     }
 
-    /// Re-record iff the cached graph cannot serve (`f`, `x`): never
-    /// recorded, dimension change, or point-dependent structure at a new
-    /// point.
-    fn ensure_recorded<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64], d: usize) {
-        if self.nodes.is_empty()
-            || self.n_inputs != d
-            || (self.point_dependent && self.recorded_at != x)
-        {
+    /// Make the linearization current for (`f`, `x`): a no-op when the
+    /// current recording is already linearized at exactly these bits;
+    /// otherwise re-record if the cached graph cannot serve `x` (never
+    /// recorded, dimension change, or point-dependent structure), then
+    /// run the primal forward pass and the primal reverse adjoints.
+    fn linearize<F: ScalarFn + ?Sized>(&mut self, f: &F, x: &[f64]) {
+        let same_point = self.lin_at.len() == x.len()
+            && self.lin_at.iter().zip(x).all(|(a, b)| a.to_bits() == b.to_bits());
+        if self.linearized && same_point {
+            return;
+        }
+        if self.nodes.is_empty() || self.n_inputs != x.len() || self.point_dependent {
             self.record(f, x);
         }
+
+        let n = self.nodes.len();
+        let Self {
+            nodes,
+            vals_v,
+            part_v,
+            part_t,
+            aux_v,
+            adj_v,
+            accs,
+            ..
+        } = self;
+        vals_v.clear();
+        vals_v.resize(n, 0.0);
+        part_v.clear();
+        part_v.resize(n, [0.0; 2]);
+        part_t.clear();
+        part_t.resize(n, [ZERO_ROW; 2]);
+        aux_v.clear();
+        aux_v.resize(n, [0.0; 2]);
+
+        // Primal forward pass, in the `Var<Dual>` primal token sequences.
+        // A `Mul` partial *is* the other operand, so its tangent is that
+        // operand's row; `Exp`'s partial is its own output.
+        let mut input = 0usize;
+        let mut slot = 0u32;
+        let mut next_slot = || {
+            slot += 1;
+            NODE_ROW0 + n as u32 + slot - 1
+        };
+        for i in 0..n {
+            let v = |o| primal(o, vals_v);
+            let (val, part, tan) = match nodes[i] {
+                GOp::Input => {
+                    let xi = x[input];
+                    input += 1;
+                    (xi, [0.0; 2], [ZERO_ROW; 2])
+                }
+                GOp::Add(a, b) => (v(a) + v(b), [1.0, 1.0], [ZERO_ROW; 2]),
+                GOp::Sub(a, b) => (v(a) - v(b), [1.0, -1.0], [ZERO_ROW, NEG_ZERO_ROW]),
+                GOp::Mul(a, b) => (v(a) * v(b), [v(b), v(a)], [row_of(b), row_of(a)]),
+                GOp::Div(a, b) => {
+                    // inv = one / bv; value = av * inv; pb = -av*inv*inv.
+                    let (av, bv) = (v(a), v(b));
+                    let inv_v = 1.0 / bv;
+                    let m1_v = (-av) * inv_v;
+                    aux_v[i] = [m1_v, 0.0];
+                    (av * inv_v, [inv_v, m1_v * inv_v], [next_slot(), next_slot()])
+                }
+                GOp::Neg(a) => (-v(a), [-1.0, 0.0], [ZERO_ROW; 2]),
+                GOp::Exp(a) => {
+                    let e_v = v(a).exp();
+                    (e_v, [e_v, 0.0], [NODE_ROW0 + i as u32, ZERO_ROW])
+                }
+                // pa = one / av.
+                GOp::Ln(a) => (v(a).ln(), [1.0 / v(a), 0.0], [next_slot(), ZERO_ROW]),
+                // pa = one - t*t.
+                GOp::Tanh(a) => {
+                    let t_v = v(a).tanh();
+                    (t_v, [1.0 - t_v * t_v, 0.0], [next_slot(), ZERO_ROW])
+                }
+                // pa = av.cos().
+                GOp::Sin(a) => (v(a).sin(), [v(a).cos(), 0.0], [next_slot(), ZERO_ROW]),
+                // pa = -av.sin().
+                GOp::Cos(a) => {
+                    let sin_v = v(a).sin();
+                    aux_v[i] = [sin_v, 0.0];
+                    (v(a).cos(), [-sin_v, 0.0], [next_slot(), ZERO_ROW])
+                }
+                // pa = Dual::from_f64(0.5) / s.
+                GOp::Sqrt(a) => {
+                    let s_v = v(a).sqrt();
+                    (s_v, [0.5 / s_v, 0.0], [next_slot(), ZERO_ROW])
+                }
+                // pa = Dual::from_f64(p) * av.powi(p - 1).
+                GOp::Powi(a, p) => {
+                    let av = v(a);
+                    let q_v = av.powi(p - 1);
+                    aux_v[i] = [q_v, av.powi(p - 2)];
+                    (av.powi(p), [f64::from(p) * q_v, 0.0], [next_slot(), ZERO_ROW])
+                }
+                GOp::AbsPos(a) => (v(a), [1.0, 0.0], [ZERO_ROW; 2]),
+                GOp::AbsNeg(a) => (-v(a), [-1.0, 0.0], [ZERO_ROW; 2]),
+                GOp::MaxLeft(a, _) => (v(a), [1.0, 0.0], [ZERO_ROW; 2]),
+                GOp::MaxRight(_, b) => (v(b), [0.0, 1.0], [ZERO_ROW; 2]),
+            };
+            vals_v[i] = val;
+            part_v[i] = part;
+            part_t[i] = tan;
+        }
+        self.n_slots = slot as usize;
+
+        // Primal reverse adjoints, in `Tape::gradient`'s order, recording
+        // each accumulation for the tangent sweeps.
+        adj_v.clear();
+        adj_v.resize(n, 0.0);
+        adj_v[self.out] = 1.0;
+        accs.clear();
+        for i in (0..=self.out).rev() {
+            let a_v = adj_v[i];
+            for ((p, pv), src) in parents(nodes[i]).into_iter().zip(part_v[i]).zip(part_t[i]) {
+                if let Some(parent) = p {
+                    adj_v[parent as usize] += pv * a_v;
+                    accs.push(Acc {
+                        node: i as u32,
+                        parent,
+                        src,
+                        pv,
+                        a_v,
+                    });
+                }
+            }
+        }
+
+        self.lin_at.clear();
+        self.lin_at.extend_from_slice(x);
+        self.linearized = true;
     }
 
-    /// One batched forward-over-reverse pass; the seed mode picks the
-    /// lane count `d` (all `n_inputs` unit tangents for a Hessian, one
-    /// arbitrary direction for an HVP) and `out` receives the
-    /// `n_inputs × lanes` adjoint-tangent block row-major. Lane `j` of
-    /// every tangent buffer computes the exact scalar sequence of a
-    /// `Dual` replay seeded with that lane's seed — see the module docs
-    /// for the contract.
-    fn replay(&mut self, x: &[f64], seeds: Seeds<'_>, out: &mut [f64]) {
+    /// One tangent forward-over-reverse sweep against the current
+    /// linearization; the seed mode picks the lane count `d` (all
+    /// `n_inputs` unit tangents for a Hessian, one arbitrary direction
+    /// for an HVP) and `out` receives the `n_inputs × lanes`
+    /// adjoint-tangent block row-major. Lane `j` of every tangent buffer
+    /// computes the exact scalar sequence of a `Dual` run seeded with
+    /// that lane's seed — see the module docs for the contract.
+    ///
+    /// Always inlined, so each caller's seed mode is a known constant
+    /// and the single-lane HVP sweep compiles to straight-line scalar
+    /// code instead of length-1 lane loops.
+    #[inline(always)]
+    fn sweep(&mut self, seeds: Seeds<'_>, out: &mut [f64]) {
+        debug_assert!(self.linearized, "sweep before linearize");
         let n = self.nodes.len();
         let d = match seeds {
             Seeds::Unit => self.n_inputs,
@@ -464,64 +694,34 @@ impl GraphWorkspace {
         let Self {
             nodes,
             vals_v,
-            lanes,
             part_v,
-            part_t,
-            slots,
-            zero_lane,
-            adj_v,
+            aux_v,
+            accs,
+            tan,
             adj_d,
             ..
         } = self;
-        vals_v.clear();
-        vals_v.resize(n, 0.0);
-        lanes.clear();
-        lanes.resize(n * d, 0.0);
-        part_v.clear();
-        part_v.resize(n, [0.0; 2]);
-        part_t.clear();
-        part_t.resize(n, [Tan::Const(0.0); 2]);
-        slots.clear();
-        zero_lane.clear();
-        zero_lane.resize(d, 0.0);
+        // The forward pass overwrites every node and slot row before
+        // anything reads it; only the constant rows and the adjoint
+        // accumulators need setting.
+        let node_end = (NODE_ROW0 as usize + n) * d;
+        tan.resize(node_end + self.n_slots * d, 0.0);
+        tan[..d].fill(0.0);
+        tan[d..2 * d].fill(-0.0);
+        let (rows, slots) = tan.split_at_mut(node_end);
 
-        // Operand → (primal, value-tangent lanes). Operand indices always
-        // precede the consuming node, so their rows live in `prev`.
-        fn res<'a>(
-            o: Operand,
-            vals_v: &[f64],
-            prev: &'a [f64],
-            zero: &'a [f64],
-            d: usize,
-        ) -> (f64, &'a [f64]) {
-            match o {
-                Operand::Var(k) => {
-                    let k = k as usize;
-                    (vals_v[k], &prev[k * d..(k + 1) * d])
-                }
-                Operand::Const(c) => (c, zero),
-            }
-        }
-        // Operand → tangent source for a `Mul`-style partial (the partial
-        // *is* the operand value, so its tangents are that node's lanes;
-        // constants have the zero tangent of `Dual::from_f64`).
-        fn tan_of(o: Operand) -> Tan {
-            match o {
-                Operand::Var(k) => Tan::Node(k),
-                Operand::Const(_) => Tan::Const(0.0),
-            }
-        }
-
-        // Forward pass: primal once per node, tangents per lane, in the
-        // exact `Var<Dual>` token sequences.
+        // Forward pass: tangents per lane, in the exact `Var<Dual>`
+        // tangent token sequences; primal factors come from the
+        // linearization (`vals_v[i]` is the node's own output).
         let mut input = 0usize;
+        let mut s0 = 0usize;
         for i in 0..n {
-            let (prev, rest) = lanes.split_at_mut(i * d);
+            let (prev, rest) = rows.split_at_mut((NODE_ROW0 as usize + i) * d);
             let prev = &prev[..];
             let row = &mut rest[..d];
+            let [pav, _] = part_v[i];
             match nodes[i] {
                 GOp::Input => {
-                    vals_v[i] = x[input];
                     match seeds {
                         Seeds::Unit => {
                             for (l, r) in row.iter_mut().enumerate() {
@@ -533,273 +733,135 @@ impl GraphWorkspace {
                     input += 1;
                 }
                 GOp::Add(a, b) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av + bv;
+                    let (_, at) = res(a, vals_v, prev, d);
+                    let (_, bt) = res(b, vals_v, prev, d);
                     for l in 0..d {
                         row[l] = at[l] + bt[l];
                     }
-                    part_v[i] = [1.0, 1.0];
                 }
                 GOp::Sub(a, b) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av - bv;
+                    let (_, at) = res(a, vals_v, prev, d);
+                    let (_, bt) = res(b, vals_v, prev, d);
                     for l in 0..d {
                         row[l] = at[l] - bt[l];
                     }
-                    part_v[i] = [1.0, -1.0];
-                    // `-one` carries a `-0.0` tangent (negated zero).
-                    part_t[i] = [Tan::Const(0.0), Tan::Const(-0.0)];
                 }
                 GOp::Mul(a, b) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av * bv;
+                    let (av, at) = res(a, vals_v, prev, d);
+                    let (bv, bt) = res(b, vals_v, prev, d);
                     for l in 0..d {
                         row[l] = at[l] * bv + av * bt[l];
                     }
-                    part_v[i] = [bv, av];
-                    part_t[i] = [tan_of(b), tan_of(a)];
                 }
                 GOp::Div(a, b) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    // inv = one / bv; value = av * inv; pb = -av*inv*inv.
-                    let inv_v = 1.0 / bv;
-                    let s0 = slots.len();
-                    slots.resize(s0 + 2 * d, 0.0);
+                    let (av, at) = res(a, vals_v, prev, d);
+                    let (bv, bt) = res(b, vals_v, prev, d);
+                    let (inv_v, m1_v) = (pav, aux_v[i][0]);
                     for l in 0..d {
                         slots[s0 + l] = (0.0 * bv - 1.0 * bt[l]) / (bv * bv);
                     }
-                    vals_v[i] = av * inv_v;
-                    let m1_v = (-av) * inv_v;
                     for l in 0..d {
                         let inv_d = slots[s0 + l];
                         row[l] = at[l] * inv_v + av * inv_d;
                         let m1_d = (-at[l]) * inv_v + (-av) * inv_d;
                         slots[s0 + d + l] = m1_d * inv_v + m1_v * inv_d;
                     }
-                    part_v[i] = [inv_v, m1_v * inv_v];
-                    part_t[i] = [
-                        Tan::Slot((s0 / d) as u32),
-                        Tan::Slot((s0 / d + 1) as u32),
-                    ];
+                    s0 += 2 * d;
                 }
-                GOp::Neg(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = -av;
+                GOp::Neg(a) | GOp::AbsNeg(a) => {
+                    let (_, at) = res(a, vals_v, prev, d);
                     for l in 0..d {
                         row[l] = -at[l];
                     }
-                    part_v[i] = [-1.0, 0.0];
                 }
                 GOp::Exp(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let e_v = av.exp();
-                    vals_v[i] = e_v;
+                    let (_, at) = res(a, vals_v, prev, d);
+                    let e_v = vals_v[i];
                     for l in 0..d {
                         row[l] = at[l] * e_v;
                     }
-                    // pa is the output itself.
-                    part_v[i] = [e_v, 0.0];
-                    part_t[i] = [Tan::Node(i as u32), Tan::Const(0.0)];
                 }
                 GOp::Ln(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av.ln();
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = one / av.
+                    let (av, at) = res(a, vals_v, prev, d);
                     for l in 0..d {
                         row[l] = at[l] / av;
                         slots[s0 + l] = (0.0 * av - 1.0 * at[l]) / (av * av);
                     }
-                    part_v[i] = [1.0 / av, 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
+                    s0 += d;
                 }
                 GOp::Tanh(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let t_v = av.tanh();
-                    vals_v[i] = t_v;
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = one - t*t, with t's tangent in `row`.
+                    // `pav` is `1 - t*t`, bit for bit.
+                    let (_, at) = res(a, vals_v, prev, d);
+                    let t_v = vals_v[i];
                     for l in 0..d {
-                        row[l] = at[l] * (1.0 - t_v * t_v);
+                        row[l] = at[l] * pav;
                         slots[s0 + l] = 0.0 - (row[l] * t_v + t_v * row[l]);
                     }
-                    part_v[i] = [1.0 - t_v * t_v, 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
+                    s0 += d;
                 }
                 GOp::Sin(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av.sin();
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = av.cos().
+                    // `pav` is `cos a`, `vals_v[i]` is `sin a`.
+                    let (_, at) = res(a, vals_v, prev, d);
+                    let sin_v = vals_v[i];
                     for l in 0..d {
-                        row[l] = at[l] * av.cos();
-                        slots[s0 + l] = -at[l] * av.sin();
+                        row[l] = at[l] * pav;
+                        slots[s0 + l] = -at[l] * sin_v;
                     }
-                    part_v[i] = [av.cos(), 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
+                    s0 += d;
                 }
                 GOp::Cos(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av.cos();
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = -av.sin().
+                    let (_, at) = res(a, vals_v, prev, d);
+                    let (cos_v, sin_v) = (vals_v[i], aux_v[i][0]);
                     for l in 0..d {
-                        row[l] = -at[l] * av.sin();
-                        slots[s0 + l] = -(at[l] * av.cos());
+                        row[l] = -at[l] * sin_v;
+                        slots[s0 + l] = -(at[l] * cos_v);
                     }
-                    part_v[i] = [-av.sin(), 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
+                    s0 += d;
                 }
                 GOp::Sqrt(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    let s_v = av.sqrt();
-                    vals_v[i] = s_v;
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = Dual::from_f64(0.5) / s, with s's tangent in `row`.
+                    let (_, at) = res(a, vals_v, prev, d);
+                    let s_v = vals_v[i];
                     for l in 0..d {
                         row[l] = at[l] * 0.5 / s_v;
                         slots[s0 + l] = (0.0 * s_v - 0.5 * row[l]) / (s_v * s_v);
                     }
-                    part_v[i] = [0.5 / s_v, 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
+                    s0 += d;
                 }
                 GOp::Powi(a, p) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av.powi(p);
-                    let s0 = slots.len();
-                    slots.resize(s0 + d, 0.0);
-                    // pa = Dual::from_f64(p) * av.powi(p - 1).
-                    let q_v = av.powi(p - 1);
+                    let (_, at) = res(a, vals_v, prev, d);
+                    let [q_v, r_v] = aux_v[i];
                     for l in 0..d {
                         row[l] = at[l] * f64::from(p) * q_v;
-                        let q_d = at[l] * f64::from(p - 1) * av.powi(p - 2);
+                        let q_d = at[l] * f64::from(p - 1) * r_v;
                         slots[s0 + l] = 0.0 * q_v + f64::from(p) * q_d;
                     }
-                    part_v[i] = [f64::from(p) * q_v, 0.0];
-                    part_t[i] = [Tan::Slot((s0 / d) as u32), Tan::Const(0.0)];
+                    s0 += d;
                 }
-                GOp::AbsPos(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av;
+                GOp::AbsPos(a) | GOp::MaxLeft(a, _) | GOp::MaxRight(_, a) => {
+                    let (_, at) = res(a, vals_v, prev, d);
                     row.copy_from_slice(at);
-                    part_v[i] = [1.0, 0.0];
-                }
-                GOp::AbsNeg(a) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = -av;
-                    for l in 0..d {
-                        row[l] = -at[l];
-                    }
-                    part_v[i] = [-1.0, 0.0];
-                }
-                GOp::MaxLeft(a, _) => {
-                    let (av, at) = res(a, vals_v, prev, zero_lane, d);
-                    vals_v[i] = av;
-                    row.copy_from_slice(at);
-                    part_v[i] = [1.0, 0.0];
-                }
-                GOp::MaxRight(_, b) => {
-                    let (bv, bt) = res(b, vals_v, prev, zero_lane, d);
-                    vals_v[i] = bv;
-                    row.copy_from_slice(bt);
-                    part_v[i] = [0.0, 1.0];
                 }
             }
         }
+        debug_assert_eq!(s0, slots.len());
 
-        // Reverse sweep, accumulating in the tape's operand order: the
-        // `self` partial first, then `other`, skipping constants —
-        // exactly `Tape::gradient`'s compacted-parent order. Each
-        // accumulation mirrors `adj[p] = adj[p] + partial * a` in Dual
-        // arithmetic: primal once, tangents per lane.
-        adj_v.clear();
-        adj_v.resize(n, 0.0);
+        // Reverse sweep: the tangent half of each recorded accumulation.
         adj_d.clear();
         adj_d.resize(n * d, 0.0);
-        adj_v[self.out] = 1.0;
-        for i in (0..=self.out).rev() {
-            let (aprev, arest) = adj_d.split_at_mut(i * d);
-            let a_row = &arest[..d];
-            let a_v = adj_v[i];
-            let [pav, pbv] = part_v[i];
-            let [pat, pbt] = part_t[i];
-            let mut accumulate = |aprev: &mut [f64], p: u32, pv: f64, pt: Tan| {
-                let p = p as usize;
-                adj_v[p] += pv * a_v;
-                let dst = &mut aprev[p * d..(p + 1) * d];
-                match pt {
-                    Tan::Const(c) => {
-                        for (l, t) in dst.iter_mut().enumerate() {
-                            *t += c * a_v + pv * a_row[l];
-                        }
-                    }
-                    Tan::Node(k) => {
-                        let k = k as usize;
-                        let src = &lanes[k * d..(k + 1) * d];
-                        for (l, t) in dst.iter_mut().enumerate() {
-                            *t += src[l] * a_v + pv * a_row[l];
-                        }
-                    }
-                    Tan::Slot(s) => {
-                        let s = s as usize;
-                        let src = &slots[s * d..(s + 1) * d];
-                        for (l, t) in dst.iter_mut().enumerate() {
-                            *t += src[l] * a_v + pv * a_row[l];
-                        }
-                    }
-                }
-            };
-            match nodes[i] {
-                GOp::Input => {}
-                GOp::Add(oa, ob)
-                | GOp::Sub(oa, ob)
-                | GOp::Mul(oa, ob)
-                | GOp::Div(oa, ob)
-                | GOp::MaxLeft(oa, ob)
-                | GOp::MaxRight(oa, ob) => {
-                    if let Operand::Var(p) = oa {
-                        accumulate(aprev, p, pav, pat);
-                    }
-                    if let Operand::Var(p) = ob {
-                        accumulate(aprev, p, pbv, pbt);
-                    }
-                }
-                GOp::Neg(oa)
-                | GOp::Exp(oa)
-                | GOp::Ln(oa)
-                | GOp::Tanh(oa)
-                | GOp::Sin(oa)
-                | GOp::Cos(oa)
-                | GOp::Sqrt(oa)
-                | GOp::Powi(oa, _)
-                | GOp::AbsPos(oa)
-                | GOp::AbsNeg(oa) => {
-                    if let Operand::Var(p) = oa {
-                        accumulate(aprev, p, pav, pat);
-                    }
-                }
+        for acc in accs.iter() {
+            let (lo, hi) = adj_d.split_at_mut(acc.node as usize * d);
+            let a_row = &hi[..d];
+            let p = acc.parent as usize;
+            let dst = &mut lo[p * d..(p + 1) * d];
+            let s = acc.src as usize;
+            let src = &tan[s * d..(s + 1) * d];
+            for l in 0..d {
+                dst[l] += src[l] * acc.a_v + acc.pv * a_row[l];
             }
         }
 
         out.copy_from_slice(&adj_d[..self.n_inputs * d]);
     }
-}
-
-/// Seed tangents for a replay: one unit lane per input (full Hessian)
-/// or a single lane carrying an arbitrary direction (HVP).
-#[derive(Clone, Copy)]
-enum Seeds<'a> {
-    Unit,
-    Vector(&'a [f64]),
 }
 
 #[cfg(test)]
@@ -808,24 +870,10 @@ mod tests {
     use crate::{AutoDiffFn, DifferentiableFn};
 
     fn assert_bit_identical<F: ScalarFn>(f: F, points: &[Vec<f64>]) {
-        let d = f.dim();
         let wrapped = AutoDiffFn::new(f);
         let mut ws = GraphWorkspace::new();
-        let mut h = Matrix::zeros(d, d);
         for x in points {
-            let reference = DifferentiableFn::hessian(&wrapped, x);
-            ws.hessian_into(wrapped.inner(), x, &mut h);
-            for i in 0..d {
-                for jj in 0..d {
-                    assert_eq!(
-                        h[(i, jj)].to_bits(),
-                        reference[(i, jj)].to_bits(),
-                        "H[{i},{jj}] at {x:?}: graph {} vs tape {}",
-                        h[(i, jj)],
-                        reference[(i, jj)]
-                    );
-                }
-            }
+            assert_hessian_matches_tape(&mut ws, &wrapped, x);
         }
     }
 
@@ -954,26 +1002,67 @@ mod tests {
         assert_eq!(ws.op_count(), ops);
     }
 
+    /// Deterministic non-axis directions: `k` picks the point, `j` the
+    /// direction within it.
+    fn direction(d: usize, k: usize, j: usize) -> Vec<f64> {
+        (0..d)
+            .map(|i| 0.3 + 0.7 * i as f64 - 0.11 * k as f64 + 0.53 * j as f64 * (i as f64 - 0.4))
+            .collect()
+    }
+
+    fn assert_hvp_matches_tape<F: ScalarFn>(
+        ws: &mut GraphWorkspace,
+        wrapped: &AutoDiffFn<F>,
+        x: &[f64],
+        v: &[f64],
+    ) -> Vec<f64> {
+        let d = x.len();
+        let mut out = vec![0.0; d];
+        let reference = wrapped.hvp(x, v);
+        ws.hvp_into(wrapped.inner(), x, v, &mut out);
+        for i in 0..d {
+            assert_eq!(
+                out[i].to_bits(),
+                reference[i].to_bits(),
+                "hvp[{i}] at {x:?} along {v:?}: graph {} vs tape {}",
+                out[i],
+                reference[i]
+            );
+        }
+        out
+    }
+
+    fn assert_hessian_matches_tape<F: ScalarFn>(
+        ws: &mut GraphWorkspace,
+        wrapped: &AutoDiffFn<F>,
+        x: &[f64],
+    ) {
+        let d = x.len();
+        let mut h = Matrix::zeros(d, d);
+        let reference = DifferentiableFn::hessian(wrapped, x);
+        ws.hessian_into(wrapped.inner(), x, &mut h);
+        for i in 0..d {
+            for jj in 0..d {
+                assert_eq!(
+                    h[(i, jj)].to_bits(),
+                    reference[(i, jj)].to_bits(),
+                    "H[{i},{jj}] at {x:?}: graph {} vs tape {}",
+                    h[(i, jj)],
+                    reference[(i, jj)]
+                );
+            }
+        }
+    }
+
+    /// Several directions per point, so every point after the first
+    /// product is served from a cached linearization.
     fn assert_hvp_bit_identical<F: ScalarFn>(f: F, points: &[Vec<f64>]) {
         let d = f.dim();
         let wrapped = AutoDiffFn::new(f);
         let mut ws = GraphWorkspace::new();
-        let mut out = vec![0.0; d];
         for (k, x) in points.iter().enumerate() {
-            // A deterministic non-axis direction per point.
-            let v: Vec<f64> = (0..d)
-                .map(|i| 0.3 + 0.7 * i as f64 - 0.11 * k as f64)
-                .collect();
-            let reference = wrapped.hvp(x, &v);
-            ws.hvp_into(wrapped.inner(), x, &v, &mut out);
-            for i in 0..d {
-                assert_eq!(
-                    out[i].to_bits(),
-                    reference[i].to_bits(),
-                    "hvp[{i}] at {x:?}: graph {} vs tape {}",
-                    out[i],
-                    reference[i]
-                );
+            for j in 0..3 {
+                assert_hvp_matches_tape(&mut ws, &wrapped, x, &direction(d, k, j));
             }
         }
     }
@@ -1012,6 +1101,85 @@ mod tests {
         for i in 0..3 {
             assert!((out[i] - hv[i]).abs() < 1e-12, "{} vs {}", out[i], hv[i]);
         }
+    }
+
+    #[test]
+    fn interleaved_hessians_and_hvps_bit_identical() {
+        fn run<F: ScalarFn>(f: F, points: &[Vec<f64>]) {
+            let d = f.dim();
+            let wrapped = AutoDiffFn::new(f);
+            let mut ws = GraphWorkspace::new();
+            // Alternate points on one workspace, mixing full Hessians
+            // (d lanes) and products (one lane) against each
+            // linearization, and returning to earlier points.
+            for round in 0..2 {
+                for (k, x) in points.iter().enumerate() {
+                    assert_hvp_matches_tape(&mut ws, &wrapped, x, &direction(d, k, round));
+                    assert_hessian_matches_tape(&mut ws, &wrapped, x);
+                    assert_hvp_matches_tape(&mut ws, &wrapped, x, &direction(d, k, round + 1));
+                }
+            }
+        }
+        run(Poly, &[vec![0.3, -0.8, 1.7], vec![-0.137, 0.952, -2.5]]);
+        run(DivLog, &[vec![0.3, 0.8], vec![1.7, 0.21]]);
+        run(Transcendental, &[vec![0.4, 0.9], vec![2.2, 1.6]]);
+        run(Branchy, &[vec![0.5, 0.25], vec![-0.5, 0.25], vec![-0.7, -0.2]]);
+        run(ValueBranch, &[vec![0.9, 0.4], vec![0.1, 0.4]]);
+    }
+
+    #[test]
+    fn point_dependent_graphs_relinearize_after_rerecord() {
+        // ValueBranch records a different graph on each side of 0.5;
+        // every switch must re-record and re-linearize before sweeping.
+        let wrapped = AutoDiffFn::new(ValueBranch);
+        let mut ws = GraphWorkspace::new();
+        let hi = [0.9, 0.4];
+        let lo = [0.1, 0.4];
+        for x in [hi, lo, lo, hi, lo] {
+            assert_hvp_matches_tape(&mut ws, &wrapped, &x, &[1.0, -0.5]);
+            assert_hessian_matches_tape(&mut ws, &wrapped, &x);
+            assert_hvp_matches_tape(&mut ws, &wrapped, &x, &[0.25, 2.0]);
+        }
+
+        // Branchy keeps its op count but flips opcodes between points.
+        let wrapped = AutoDiffFn::new(Branchy);
+        let mut ws = GraphWorkspace::new();
+        for x in [[0.5, 0.25], [-0.5, 0.25], [0.5, 0.25], [-0.7, -0.2]] {
+            assert_hvp_matches_tape(&mut ws, &wrapped, &x, &[0.7, -1.1]);
+            assert_hvp_matches_tape(&mut ws, &wrapped, &x, &[-0.2, 0.9]);
+            assert_hessian_matches_tape(&mut ws, &wrapped, &x);
+        }
+    }
+
+    /// Divides by `x0` and branches on the sign of the quotient:
+    /// `1/(+0.0)` is `+inf` and `1/(-0.0)` is `-inf`, so the two zeros
+    /// take different branches even though `0.0 == -0.0`. (The division
+    /// happens on the primal: a recorded division by zero would turn
+    /// every derivative into NaN at both zeros alike.)
+    struct ReciprocalSign;
+    impl ScalarFn for ReciprocalSign {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn call<S: Scalar>(&self, x: &[S]) -> S {
+            if 1.0 / x[0].value() > 0.0 {
+                x[0] * x[0]
+            } else {
+                x[0] * x[0] * x[0]
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_points_are_distinct() {
+        let wrapped = AutoDiffFn::new(ReciprocalSign);
+        let mut ws = GraphWorkspace::new();
+        let at_pos = assert_hvp_matches_tape(&mut ws, &wrapped, &[0.0], &[1.0]);
+        let at_neg = assert_hvp_matches_tape(&mut ws, &wrapped, &[-0.0], &[1.0]);
+        // The zeros really differ, so serving one from the other's
+        // cached graph or linearization would have failed above.
+        assert_ne!(at_pos[0].to_bits(), at_neg[0].to_bits());
+        assert_hvp_matches_tape(&mut ws, &wrapped, &[0.0], &[-2.0]);
     }
 
     #[test]

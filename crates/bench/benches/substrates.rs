@@ -1,9 +1,11 @@
-//! Microbenchmarks of the substrates: AD gradients/Hessians, the
-//! spectral kernels (QL default, Jacobi oracle, matrix-free Lanczos
-//! extremes), the box-constrained optimizer, and the wire codec.
+//! Microbenchmarks of the substrates: AD gradients, Hessians and
+//! same-point Hessian-vector products, the spectral kernels (QL
+//! default, Jacobi oracle, matrix-free Lanczos extremes), the
+//! box-constrained optimizer, and the wire codec.
 
-use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
+use automon_autodiff::{AutoDiffFn, DifferentiableFn, Scalar, ScalarFn};
 use automon_core::{CoordinatorMessage, Curvature, DcKind, NodeMessage, SafeZone, ViolationKind};
+use automon_functions::KlDivergence;
 use automon_linalg::{
     JacobiOptions, LanczosOptions, LanczosStats, LanczosWorkspace, Matrix, MatrixOperator,
     RitzSide, SymEigen,
@@ -38,6 +40,35 @@ fn bench_autodiff(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("hessian", d), &d, |b, _| {
             b.iter(|| std::hint::black_box(f.hessian(std::hint::black_box(&x))))
+        });
+    }
+
+    // The Lanczos access pattern: many products at one probe point.
+    // Each iteration moves to the other of two KLD points and applies
+    // `HVP_DIRECTIONS` products there, so the median is the cost of one
+    // probe point's batch (divide by `HVP_DIRECTIONS` for ns per product).
+    const HVP_DIRECTIONS: usize = 20;
+    for d in [10usize, 20, 40] {
+        let f = AutoDiffFn::new(KlDivergence::new(d, 1.0 / 2400.0));
+        let points: Vec<Vec<f64>> = (0..2)
+            .map(|k| (0..d).map(|i| 0.05 + 0.9 * ((i * 7 + k * 3) % d) as f64 / d as f64).collect())
+            .collect();
+        let dirs: Vec<Vec<f64>> = (0..HVP_DIRECTIONS)
+            .map(|j| (0..d).map(|i| ((i + 1) as f64 * (j + 1) as f64).sin()).collect())
+            .collect();
+        let mut he = f.hvp_eval();
+        let mut out = vec![0.0; d];
+        let mut k = 0;
+        group.bench_with_input(BenchmarkId::new("hvp_same_point", d), &d, |b, _| {
+            b.iter(|| {
+                k ^= 1;
+                let mut sum = 0.0;
+                for v in &dirs {
+                    he.hvp_into(&points[k], v, &mut out);
+                    sum += out[0];
+                }
+                std::hint::black_box(sum)
+            })
         });
     }
     group.finish();

@@ -637,7 +637,8 @@ impl SymOperator for HvpProbeOp<'_> {
 /// `H(center)` to seed everything else — and then never touches a dense
 /// Hessian again: each probe point's extreme eigenvalues come from a
 /// [`LanczosWorkspace`] driven by Hessian-vector products through
-/// [`HvpEvaluator`] (record-once/replay-many on `AutoDiffFn`). The
+/// [`HvpEvaluator`] (on `AutoDiffFn`: record once, linearize once per
+/// probe point, sweep one tangent lane per product). The
 /// center decomposition supplies each search stream's incumbent value
 /// and initial Ritz vector; its Gershgorin enclosure supplies the
 /// Lanczos shift (midpoint) and convergence scale (half-width), both
@@ -663,9 +664,14 @@ fn search_extremes_lanczos(
 ) -> (f64, f64, f64, f64, RitzSeeds) {
     let d = bounds.dim();
     let center = bounds.center();
-    let h0 = f.hessian(x0);
+    // One graph workspace serves both dense Hessians (bit-identical to
+    // `f.hessian`, without re-tracing a tape per column).
+    let mut he = f.hessian_eval();
+    let mut h0 = Matrix::zeros(d, d);
+    he.hessian_into(x0, &mut h0);
     let eig0 = SymEigen::new(&h0);
-    let hc = f.hessian(&center);
+    let mut hc = Matrix::zeros(d, d);
+    he.hessian_into(&center, &mut hc);
     let eigc = SymEigen::new(&hc);
     stats.hessian_materializations = 2;
 
