@@ -21,10 +21,8 @@ fn bench_full_sync(c: &mut Criterion) {
     let mut group = c.benchmark_group("full_sync_decompose");
     group.sample_size(10);
 
-    // ADCD-X on KLD (non-constant Hessian): λ search over the box.
-    // `adcd_x_kld` runs the default (batched, machine-sized) pipeline;
-    // `adcd_x_kld_seq` pins the sequential reference path — the pair
-    // measures the hot-path speedup at identical results.
+    // ADCD-X on KLD (non-constant Hessian): λ search over the box,
+    // default (machine-sized) parallelism.
     for d in [10usize, 20, 40] {
         let bench = automon_bench::funcs::kld(d, 2, 30, 1);
         let x0 = vec![1.0 / d as f64; d];
@@ -32,22 +30,17 @@ fn bench_full_sync(c: &mut Criterion) {
             lo: x0.iter().map(|v| (v - 0.05).max(0.0)).collect(),
             hi: x0.iter().map(|v| (v + 0.05).min(1.0)).collect(),
         };
-        for (name, par) in [
-            ("adcd_x_kld", Parallelism::Auto),
-            ("adcd_x_kld_seq", Parallelism::Sequential),
-        ] {
-            let cfg = cfg(par);
-            group.bench_with_input(BenchmarkId::new(name, d), &d, |bch, _| {
-                bch.iter(|| {
-                    std::hint::black_box(adcd::decompose(
-                        bench.f.as_ref(),
-                        std::hint::black_box(&x0),
-                        Some(&b),
-                        &cfg,
-                    ))
-                })
-            });
-        }
+        let cfg = cfg(Parallelism::Auto);
+        group.bench_with_input(BenchmarkId::new("adcd_x_kld", d), &d, |bch, _| {
+            bch.iter(|| {
+                std::hint::black_box(adcd::decompose(
+                    bench.f.as_ref(),
+                    std::hint::black_box(&x0),
+                    Some(&b),
+                    &cfg,
+                ))
+            })
+        });
     }
 
     // ADCD-E on the inner product: one eigendecomposition.

@@ -54,6 +54,16 @@ impl Args {
         Ok(Self { values })
     }
 
+    /// Fail on the first flag not in `known` — the flags the subcommand
+    /// reads — so a typo or a retired flag is an error instead of being
+    /// silently ignored.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), CliError> {
+        match self.values.keys().find(|k| !known.contains(&k.as_str())) {
+            Some(k) => Err(CliError::new(format!("unknown flag `--{k}`"))),
+            None => Ok(()),
+        }
+    }
+
     /// Boolean flag: present (or explicitly anything but `false`/`0`).
     pub fn flag(&self, key: &str) -> bool {
         self.get(key).is_some_and(|v| v != "false" && v != "0")
@@ -119,6 +129,14 @@ mod tests {
         assert!(Args::parse(&sv(&["naked"])).is_err());
         let a = Args::parse(&[]).unwrap();
         assert!(a.require("anything").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let a = Args::parse(&sv(&["--eps", "0.5", "--json"])).unwrap();
+        assert!(a.reject_unknown(&["eps", "json", "extra"]).is_ok());
+        let err = a.reject_unknown(&["eps"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag `--json`");
     }
 
     #[test]

@@ -50,19 +50,18 @@ pub fn usage() -> &'static str {
 USAGE:
     automon simulate --function <NAME> [--epsilon E] [--nodes N]
                      [--rounds R] [--dim D] [--seed S] [--baseline SPEC]
-                     [--parallelism P] [--spectral-backend B]
+                     [--parallelism P]
                      [--chaos-seed S] [--drop-rate P]
                      [--crash-node SPEC] [--partition SPEC]
                      [--crash-coordinator R] [--wal-dir DIR]
                      [--snapshot-every N] [--json]
                      [--metrics-out FILE] [--trace-out FILE]
-                     [--serve-metrics ADDR] [--decomp-cache POLICY]
-                     [--decomp-cache-capacity N] [--decomp-cache-warm]
+                     [--serve-metrics ADDR]
                      [--fleet] [--shards S] [--leaf-epsilon-frac F]
                      [--crash-leaf SPEC]
     automon monitor  --function <NAME> --input <FILE.csv> --nodes N
-                     [--epsilon E] [--output FILE.csv] [--parallelism P]
-                     [--spectral-backend B] [--decomp-cache POLICY]
+                     [--dim D] [--epsilon E] [--output FILE.csv]
+                     [--parallelism P]
     automon tune     --function <NAME> --input <FILE.csv> --nodes N
                      [--epsilon E]
     automon spectral-smoke [--dim D] [--seed S] [--tol T]
@@ -81,16 +80,17 @@ FUNCTIONS (built-in):
 BASELINES (simulate only, repeatable):
     centralization | periodic:<P>
 
+Unknown flags are rejected (exit 2), per subcommand.
+
 PARALLELISM:
     --parallelism 0 sizes the full-sync pipeline to the machine
-    (default); 1 forces the sequential reference path; N uses N
-    worker threads. Results are identical for every setting.
+    (default); N ≥ 1 uses N worker threads (1 runs it inline on one
+    thread). Results are identical for every setting.
 
-SPECTRAL BACKEND:
-    --spectral-backend ql (default) uses the two-tier kernel:
-    Householder + implicit-shift QL for full decompositions and
-    matrix-free Lanczos for the ADCD-X extreme-eigenvalue search.
-    `jacobi` is the legacy cyclic-Jacobi path (rollback switch).
+SPECTRAL KERNELS:
+    Full decompositions use Householder + implicit-shift QL; the
+    ADCD-X extreme-eigenvalue search is matrix-free Lanczos. Cyclic
+    Jacobi is QL's iteration-cap fallback and the test oracle:
     `automon spectral-smoke` cross-checks the three kernels on one
     deterministic matrix and exits non-zero on disagreement.
 
@@ -112,17 +112,6 @@ DURABILITY (simulate only; docs/DURABILITY.md):
     --snapshot-every N      checkpoint cadence in rounds (default 16);
                             mid-sync requests defer to the next quiescent
                             round instead of being skipped
-
-DECOMPOSITION CACHE (off by default; DESIGN.md §3.11):
-    --decomp-cache POLICY       memoize full-sync decompositions at the
-                                coordinator; POLICY is lru-k | slru | arc.
-                                Exact hits require bitwise-equal inputs,
-                                so output is identical to a cache-off run
-    --decomp-cache-capacity N   max resident entries (default 64)
-    --decomp-cache-warm         let near hits (same cell, adjacent radius
-                                bucket) warm-start the Lanczos eigen
-                                search from cached Ritz vectors; results
-                                then agree to tolerance, not bitwise
 
 FLEET (simulate only; two-tier sharded hierarchy, DESIGN.md §3.14):
     --fleet                 shard the streams over leaf coordinators and

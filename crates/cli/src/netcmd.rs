@@ -115,6 +115,22 @@ enum Cmd {
 
 /// Run `net-smoke` per the parsed arguments.
 pub fn run_net_smoke(args: &Args) -> Result<String, CliError> {
+    args.reject_unknown(&[
+        "net-backend",
+        "nodes",
+        "rounds",
+        "dim",
+        "seed",
+        "epsilon",
+        "function",
+        "chaos-seed",
+        "drop-rate",
+        "duplicate-rate",
+        "reorder-rate",
+        "delay-rate",
+        "max-delay-rounds",
+        "trace-out",
+    ])?;
     let backend = args.get("net-backend").unwrap_or("reactor");
     let n: usize = args.num("nodes", 4usize)?;
     let rounds: usize = args.num("rounds", 60usize)?;

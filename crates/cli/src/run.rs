@@ -4,10 +4,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use automon_autodiff::AutoDiffFn;
-use automon_core::{
-    CachePolicy, Coordinator, DecompCacheConfig, MonitorConfig, MonitoredFunction, Node,
-    Parallelism, SpectralBackend,
-};
+use automon_core::{Coordinator, MonitorConfig, MonitoredFunction, Node, Parallelism};
 use automon_data::synthetic::{InnerProductDataset, QuadraticDataset, RozenbrockDataset};
 use automon_data::windowed_mean_series;
 use automon_functions::{train_mlp_d, InnerProduct, KlDivergence, QuadraticForm, Rozenbrock, Variance};
@@ -40,49 +37,10 @@ pub fn build_function(name: &str, dim: usize) -> Result<Arc<dyn MonitoredFunctio
     })
 }
 
-/// Parse `--parallelism` (0 = auto-size to the machine, 1 = the
-/// sequential reference path, n ≥ 2 = that many workers).
+/// Parse `--parallelism` (0 = auto-size to the machine, n ≥ 1 = that
+/// many workers; 1 runs the full sync inline on one thread).
 fn parse_parallelism(args: &Args) -> Result<Parallelism, CliError> {
     Ok(Parallelism::from(args.num("parallelism", 0usize)?))
-}
-
-/// Parse `--spectral-backend` (`ql` is the default two-tier kernel,
-/// `jacobi` the legacy escape hatch).
-fn parse_spectral_backend(args: &Args) -> Result<SpectralBackend, CliError> {
-    match args.get("spectral-backend") {
-        None | Some("ql") => Ok(SpectralBackend::Ql),
-        Some("jacobi") => Ok(SpectralBackend::Jacobi),
-        Some(other) => Err(CliError::new(format!(
-            "unknown spectral backend `{other}` (ql | jacobi)"
-        ))),
-    }
-}
-
-/// Parse `--decomp-cache <lru-k|slru|arc>` plus its companions
-/// `--decomp-cache-capacity <n>` and `--decomp-cache-warm` (warm-start
-/// Lanczos from cached Ritz vectors; trades bit-parity with cache-off
-/// runs for fewer iterations). Absent flag ⇒ cache off (the default).
-fn parse_decomp_cache(args: &Args) -> Result<Option<DecompCacheConfig>, CliError> {
-    let Some(name) = args.get("decomp-cache") else {
-        if args.get("decomp-cache-capacity").is_some() || args.flag("decomp-cache-warm") {
-            return Err(CliError::new(
-                "--decomp-cache-capacity/--decomp-cache-warm require --decomp-cache",
-            ));
-        }
-        return Ok(None);
-    };
-    let policy = CachePolicy::parse(name).ok_or_else(|| {
-        CliError::new(format!(
-            "unknown decomposition-cache policy `{name}` (lru-k | slru | arc)"
-        ))
-    })?;
-    let mut cache = DecompCacheConfig::with_policy(policy);
-    cache.capacity = args.num("decomp-cache-capacity", cache.capacity)?;
-    if cache.capacity == 0 {
-        return Err(CliError::new("--decomp-cache-capacity must be ≥ 1"));
-    }
-    cache.warm_start = args.flag("decomp-cache-warm");
-    Ok(Some(cache))
 }
 
 /// Default dimension per function when `--dim` is omitted.
@@ -464,8 +422,36 @@ fn stats_json(stats: &automon_sim::RunStats, extra: &[(&str, Value)]) -> Result<
     serde_json::to_string(&v).map_err(|e| CliError::new(format!("JSON encoding failed: {e}")))
 }
 
+/// Every flag `automon simulate` reads.
+const SIMULATE_FLAGS: &[&str] = &[
+    "function",
+    "dim",
+    "nodes",
+    "rounds",
+    "epsilon",
+    "seed",
+    "baseline",
+    "parallelism",
+    "chaos-seed",
+    "drop-rate",
+    "crash-node",
+    "partition",
+    "crash-coordinator",
+    "wal-dir",
+    "snapshot-every",
+    "json",
+    "metrics-out",
+    "trace-out",
+    "serve-metrics",
+    "fleet",
+    "shards",
+    "leaf-epsilon-frac",
+    "crash-leaf",
+];
+
 /// `automon simulate …`
 pub fn run_simulate(args: &Args) -> Result<String, CliError> {
+    args.reject_unknown(SIMULATE_FLAGS)?;
     let function = args.require("function")?;
     let dim = args.num("dim", default_dim(function))?;
     let nodes = args.num("nodes", 10usize)?;
@@ -480,8 +466,6 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
     let workload = build_workload(function, nodes, rounds, dim, seed)?;
     let cfg = MonitorConfig::builder(epsilon)
         .parallelism(parse_parallelism(args)?)
-        .spectral_backend(parse_spectral_backend(args)?)
-        .decomp_cache_opt(parse_decomp_cache(args)?)
         .build();
 
     let sinks = ObsSinks::from_args(args)?;
@@ -671,6 +655,7 @@ pub fn run_simulate(args: &Args) -> Result<String, CliError> {
 
 /// `automon monitor …` — run the real protocol over CSV updates.
 pub fn run_monitor(args: &Args) -> Result<String, CliError> {
+    args.reject_unknown(&["function", "input", "nodes", "epsilon", "dim", "output", "parallelism"])?;
     let function = args.require("function")?;
     let input = args.require("input")?;
     let nodes = args.num("nodes", 0usize)?;
@@ -692,8 +677,6 @@ pub fn run_monitor(args: &Args) -> Result<String, CliError> {
 
     let cfg = MonitorConfig::builder(epsilon)
         .parallelism(parse_parallelism(args)?)
-        .spectral_backend(parse_spectral_backend(args)?)
-        .decomp_cache_opt(parse_decomp_cache(args)?)
         .build();
     let mut coord = Coordinator::new(f.clone(), nodes, cfg);
     let mut node_actors: Vec<Node> = (0..nodes).map(|i| Node::new(i, f.clone())).collect();
@@ -964,31 +947,10 @@ mod tests {
 
     #[test]
     fn spectral_backend_flag_is_parsed() {
+        // The spectral-backend knob is gone: the flag is parsed as unknown
+        // and rejected for every value, on every subcommand that used it.
         let base = |backend: &str| {
-            Args::parse(&[
-                "--function".into(),
-                "rozenbrock".into(),
-                "--rounds".into(),
-                "40".into(),
-                "--nodes".into(),
-                "2".into(),
-                "--epsilon".into(),
-                "0.5".into(),
-                "--spectral-backend".into(),
-                backend.into(),
-            ])
-            .unwrap()
-        };
-        assert!(run_simulate(&base("ql")).unwrap().contains("AutoMon"));
-        assert!(run_simulate(&base("jacobi")).unwrap().contains("AutoMon"));
-        let err = run_simulate(&base("qr")).unwrap_err();
-        assert!(err.to_string().contains("unknown spectral backend"), "{err}");
-    }
-
-    #[test]
-    fn decomp_cache_flag_is_parsed() {
-        let base = |extra: &[&str]| {
-            let mut argv: Vec<String> = [
+            test_args(&[
                 "--function",
                 "rozenbrock",
                 "--rounds",
@@ -997,36 +959,75 @@ mod tests {
                 "2",
                 "--epsilon",
                 "0.5",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            Args::parse(&argv).unwrap()
+                "--spectral-backend",
+                backend,
+            ])
         };
-        // Off by default, and every policy is selectable.
-        let baseline = run_simulate(&base(&[])).unwrap();
-        for policy in ["lru-k", "slru", "arc"] {
-            let out = run_simulate(&base(&["--decomp-cache", policy])).unwrap();
-            // Cache on must not change the monitoring output.
-            assert_eq!(out, baseline, "--decomp-cache {policy} changed results");
+        for backend in ["ql", "jacobi", "qr"] {
+            let err = run_simulate(&base(backend)).unwrap_err();
+            assert_eq!(err.to_string(), "unknown flag `--spectral-backend`");
         }
-        let with_caps = run_simulate(&base(&[
-            "--decomp-cache",
-            "arc",
-            "--decomp-cache-capacity",
-            "8",
-            "--decomp-cache-warm",
-        ]))
-        .unwrap();
-        assert!(with_caps.contains("AutoMon"));
-        let err = run_simulate(&base(&["--decomp-cache", "fifo"])).unwrap_err();
-        assert!(
-            err.to_string().contains("unknown decomposition-cache policy"),
-            "{err}"
+        let err = run_monitor(&test_args(&["--function", "kld", "--spectral-backend", "ql"]));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "unknown flag `--spectral-backend`"
         );
-        let err = run_simulate(&base(&["--decomp-cache-capacity", "8"])).unwrap_err();
-        assert!(err.to_string().contains("require --decomp-cache"), "{err}");
+    }
+
+    #[test]
+    fn decomp_cache_flag_is_parsed() {
+        // The decomposition cache is gone: each of its flags is parsed as
+        // unknown and rejected, while the same run without them succeeds.
+        let base = |extra: &[&str]| {
+            let mut argv = vec![
+                "--function",
+                "rozenbrock",
+                "--rounds",
+                "40",
+                "--nodes",
+                "2",
+                "--epsilon",
+                "0.5",
+            ];
+            argv.extend_from_slice(extra);
+            test_args(&argv)
+        };
+        assert!(run_simulate(&base(&[])).unwrap().contains("AutoMon"));
+        for extra in [
+            &["--decomp-cache", "arc"][..],
+            &["--decomp-cache", "fifo"],
+            &["--decomp-cache-capacity", "8"],
+            &["--decomp-cache-warm"],
+        ] {
+            let err = run_simulate(&base(extra)).unwrap_err();
+            assert_eq!(err.to_string(), format!("unknown flag `{}`", extra[0]));
+        }
+        let err = run_monitor(&test_args(&["--function", "kld", "--decomp-cache", "arc"]));
+        assert_eq!(err.unwrap_err().to_string(), "unknown flag `--decomp-cache`");
+    }
+
+    #[test]
+    fn every_subcommand_rejects_unknown_flags() {
+        let base = [
+            "--function",
+            "inner-product",
+            "--rounds",
+            "40",
+            "--nodes",
+            "3",
+        ];
+        assert!(run_simulate(&test_args(&[&base[..], &["--epsilon", "0.5"]].concat())).is_ok());
+        let err = run_simulate(&test_args(&[&base[..], &["--epslion", "0.5"]].concat()));
+        assert_eq!(err.unwrap_err().to_string(), "unknown flag `--epslion`");
+        // Every subcommand checks its own flag set.
+        let err = run_tune(&test_args(&["--function", "kld", "--parallelism", "2"]));
+        assert_eq!(err.unwrap_err().to_string(), "unknown flag `--parallelism`");
+        let err = run_spectral_smoke(&test_args(&["--dim", "4", "--rounds", "2"]));
+        assert_eq!(err.unwrap_err().to_string(), "unknown flag `--rounds`");
+    }
+
+    fn test_args(argv: &[&str]) -> Args {
+        Args::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
     #[test]
@@ -1260,6 +1261,7 @@ pub fn run_spectral_smoke(args: &Args) -> Result<String, CliError> {
         JacobiOptions, LanczosOptions, LanczosStats, LanczosWorkspace, Matrix, MatrixOperator,
         RitzSide, SymEigen,
     };
+    args.reject_unknown(&["dim", "seed", "tol"])?;
     let dim = args.num("dim", 40usize)?;
     let seed = args.num("seed", 1u64)?;
     let tol = args.num("tol", 1e-9f64)?;
@@ -1341,6 +1343,7 @@ pub fn run_spectral_smoke(args: &Args) -> Result<String, CliError> {
 /// `automon tune …` — run Algorithm 2 over a recorded CSV prefix and
 /// report the recommended neighborhood size with its violation grid.
 pub fn run_tune(args: &Args) -> Result<String, CliError> {
+    args.reject_unknown(&["function", "input", "nodes", "epsilon"])?;
     let function = args.require("function")?;
     let input = args.require("input")?;
     let nodes = args.num("nodes", 0usize)?;

@@ -48,6 +48,7 @@ struct SpanAgg {
 
 /// `automon trace summarize --input FILE`
 fn summarize(args: &Args) -> Result<String, CliError> {
+    args.reject_unknown(&["input"])?;
     let path = args.require("input")?;
     let events = load(path)?;
 
@@ -200,6 +201,7 @@ fn summarize(args: &Args) -> Result<String, CliError> {
 
 /// `automon trace diff --left FILE --right FILE`
 fn diff(args: &Args) -> Result<String, CliError> {
+    args.reject_unknown(&["left", "right"])?;
     let left_path = args.require("left")?;
     let right_path = args.require("right")?;
     let left = load(left_path)?;

@@ -15,8 +15,8 @@
 
 use automon_autodiff::HvpEvaluator;
 use automon_linalg::{
-    EigenWorkspace, LanczosOptions, LanczosStats, LanczosWorkspace, Matrix, RitzSide,
-    SpectralBackend, SymEigen, SymOperator,
+    EigenWorkspace, LanczosOptions, LanczosStats, LanczosWorkspace, Matrix, RitzSide, SymEigen,
+    SymOperator,
 };
 use automon_opt::{nelder_mead, Bounds, OptimizeOptions};
 use rand::rngs::SmallRng;
@@ -39,14 +39,13 @@ pub enum AdcdKind {
 /// Deterministic counters describing the spectral work one
 /// decomposition performed.
 ///
-/// On the matrix-free Lanczos path ([`SpectralBackend::Ql`] with
-/// `EigenObjective::Exact` ADCD-X) every field is an exact count. The
-/// materialized paths (the Jacobi backend, or the Gershgorin probe
-/// objective) report the structural estimates PR 3's telemetry used —
-/// Hessian evaluations derived from the probe budget, Nelder–Mead
-/// polish evaluations excluded. Either way the numbers are functions of
-/// the configuration and the algorithm's structure, never of timers, so
-/// same-seed runs produce identical stats.
+/// On the matrix-free Lanczos path (`EigenObjective::Exact` ADCD-X)
+/// every field is an exact count. The materialized Gershgorin path
+/// reports structural estimates — Hessian evaluations derived from the
+/// probe budget, Nelder–Mead polish evaluations excluded. Either way
+/// the numbers are functions of the configuration and the algorithm's
+/// structure, never of timers, so same-seed runs produce identical
+/// stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpectralStats {
     /// Dense Hessians materialized. On the Lanczos path this stays at
@@ -57,7 +56,7 @@ pub struct SpectralStats {
     /// path, polish evaluations too).
     pub eigen_probes: u64,
     /// Lanczos iterations across all probe evaluations (0 on the
-    /// materialized paths).
+    /// materialized Gershgorin path).
     pub lanczos_iterations: u64,
     /// Gram-Schmidt reorthogonalization passes inside Lanczos.
     pub reorth_passes: u64,
@@ -95,47 +94,16 @@ pub fn decompose(
     neighborhood: Option<&NeighborhoodBox>,
     cfg: &MonitorConfig,
 ) -> DcDecomposition {
-    decompose_with_seeds(f, x0, neighborhood, cfg, None).0
-}
-
-/// Ritz vectors captured from the two Lanczos extreme streams of an
-/// ADCD-X search, usable to warm-start a later search at a nearby
-/// reference point (see [`crate::cache::DecompCache`]).
-///
-/// Warm starts change the Lanczos trajectory: the converged extremes
-/// agree with a cold start only to solver tolerance, not bitwise.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RitzSeeds {
-    /// Ritz vector from the λ_min stream.
-    pub min: Vec<f64>,
-    /// Ritz vector from the λ_max stream.
-    pub max: Vec<f64>,
-}
-
-/// [`decompose`], optionally warm-starting the matrix-free Lanczos
-/// streams from `seeds` and returning the Ritz vectors the search
-/// ended on (None on the ADCD-E and materialized ADCD-X paths).
-///
-/// With `seeds: None` the computed decomposition is bit-identical to
-/// [`decompose`] — capturing the outgoing Ritz vectors reads solver
-/// state without perturbing it.
-pub fn decompose_with_seeds(
-    f: &dyn MonitoredFunction,
-    x0: &[f64],
-    neighborhood: Option<&NeighborhoodBox>,
-    cfg: &MonitorConfig,
-    seeds: Option<&RitzSeeds>,
-) -> (DcDecomposition, Option<RitzSeeds>) {
     let kind = cfg.adcd_override.unwrap_or(if f.has_constant_hessian() {
         AdcdKind::E
     } else {
         AdcdKind::X
     });
     match kind {
-        AdcdKind::E => (decompose_e(f, x0, cfg), None),
+        AdcdKind::E => decompose_e(f, x0, cfg),
         AdcdKind::X => {
             let b = neighborhood.expect("ADCD-X requires a neighborhood");
-            decompose_x(f, x0, b, cfg, seeds)
+            decompose_x(f, x0, b, cfg)
         }
     }
 }
@@ -156,28 +124,15 @@ pub fn decompose_observed(
     cfg: &MonitorConfig,
     tel: &automon_obs::Telemetry,
 ) -> DcDecomposition {
-    decompose_observed_with_seeds(f, x0, neighborhood, cfg, None, tel).0
-}
-
-/// [`decompose_observed`] threading warm-start seeds through (see
-/// [`decompose_with_seeds`]).
-pub fn decompose_observed_with_seeds(
-    f: &dyn MonitoredFunction,
-    x0: &[f64],
-    neighborhood: Option<&NeighborhoodBox>,
-    cfg: &MonitorConfig,
-    seeds: Option<&RitzSeeds>,
-    tel: &automon_obs::Telemetry,
-) -> (DcDecomposition, Option<RitzSeeds>) {
     if !tel.is_enabled() {
-        return decompose_with_seeds(f, x0, neighborhood, cfg, seeds);
+        return decompose(f, x0, neighborhood, cfg);
     }
     let span = tel.span("adcd_decompose");
-    let (dec, ritz) = decompose_with_seeds(f, x0, neighborhood, cfg, seeds);
+    let dec = decompose(f, x0, neighborhood, cfg);
     let es = &cfg.eigen_search;
     // Deterministic work accounting, read off the decomposition's own
     // spectral counters: exact on the matrix-free Lanczos path,
-    // structural estimates on the materialized paths (see
+    // structural estimates on the materialized Gershgorin path (see
     // [`SpectralStats`]).
     let sp = dec.spectral;
     let nm_budget = match dec.kind {
@@ -230,7 +185,7 @@ pub fn decompose_observed_with_seeds(
         ],
     );
     drop(span);
-    (dec, ritz)
+    dec
 }
 
 /// ADCD-E (paper Lemma 2).
@@ -245,7 +200,7 @@ fn decompose_e(f: &dyn MonitoredFunction, x0: &[f64], cfg: &MonitorConfig) -> Dc
         ..SpectralStats::default()
     };
     let h = cached.unwrap_or_else(|| f.hessian(x0));
-    let eig = SymEigen::with_backend(&h, cfg.spectral_backend);
+    let eig = SymEigen::new(&h);
     let (lmin, lmax) = (eig.lambda_min(), eig.lambda_max());
     // DC heuristic for constant Hessians reduces to |λ_min| ≤ λ_max
     // (paper §3.4).
@@ -277,63 +232,19 @@ fn decompose_x(
     x0: &[f64],
     neighborhood: &NeighborhoodBox,
     cfg: &MonitorConfig,
-    seeds: Option<&RitzSeeds>,
-) -> (DcDecomposition, Option<RitzSeeds>) {
+) -> DcDecomposition {
     let bounds = neighborhood.to_bounds();
     let workers = cfg.parallelism.workers();
-    let backend = cfg.spectral_backend;
     let mut spectral = SpectralStats::default();
-    let mut ritz_out = None;
-    let (lambda_min_hat, lambda_max_hat, lambda0_min, lambda0_max) = if backend
-        == SpectralBackend::Ql
-        && cfg.eigen_objective == EigenObjective::Exact
-    {
-        // Matrix-free two-stream search: the same strictly-sequential
-        // per-stream code runs for every `Parallelism` setting, so
-        // results are bit-identical across worker counts by
-        // construction.
-        let (lmin, lmax, l0min, l0max, ritz) =
-            search_extremes_lanczos(f, x0, &bounds, &cfg.eigen_search, workers, seeds, &mut spectral);
-        ritz_out = Some(ritz);
-        (lmin, lmax, l0min, l0max)
-    } else {
-        let probes = 2 * cfg.eigen_search.probes as u64;
-        spectral.eigen_probes = probes;
-        if workers == 0 {
-            // Legacy one-probe-at-a-time path, kept verbatim: the
-            // batched pipeline below is proptested bit-identical
-            // against it.
-            spectral.hessian_materializations = 3 + probes;
-            let lmin = search_extreme(
-                f,
-                &bounds,
-                &cfg.eigen_search,
-                cfg.eigen_objective,
-                backend,
-                Extreme::Min,
-            );
-            let lmax = search_extreme(
-                f,
-                &bounds,
-                &cfg.eigen_search,
-                cfg.eigen_objective,
-                backend,
-                Extreme::Max,
-            );
-            let h0 = f.hessian(x0);
-            let eig0 = SymEigen::with_backend(&h0, backend);
-            (lmin, lmax, eig0.lambda_min(), eig0.lambda_max())
-        } else {
+    let (lambda_min_hat, lambda_max_hat, lambda0_min, lambda0_max) = match cfg.eigen_objective {
+        EigenObjective::Exact => {
+            search_extremes_lanczos(f, x0, &bounds, &cfg.eigen_search, workers, &mut spectral)
+        }
+        EigenObjective::Gershgorin => {
+            let probes = 2 * cfg.eigen_search.probes as u64;
+            spectral.eigen_probes = probes;
             spectral.hessian_materializations = 2 + probes;
-            search_extremes_batched(
-                f,
-                x0,
-                &bounds,
-                &cfg.eigen_search,
-                cfg.eigen_objective,
-                backend,
-                workers,
-            )
+            search_extremes_batched(f, x0, &bounds, &cfg.eigen_search, workers)
         }
     };
     // λ⁻ = min(0, λ̂_min), λ⁺ = max(0, λ̂_max).
@@ -356,17 +267,14 @@ fn decompose_x(
         DcKind::ConcaveDiff => Curvature::Scalar(lambda_plus * cfg.eigen_margin),
         DcKind::AdmissibleOnly => unreachable!("ablation bypasses decompose"),
     };
-    (
-        DcDecomposition {
-            kind: AdcdKind::X,
-            dc,
-            curvature,
-            lambda_min_hat,
-            lambda_max_hat,
-            spectral,
-        },
-        ritz_out,
-    )
+    DcDecomposition {
+        kind: AdcdKind::X,
+        dc,
+        curvature,
+        lambda_min_hat,
+        lambda_max_hat,
+        spectral,
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -394,96 +302,27 @@ fn gershgorin_bounds(h: &automon_linalg::Matrix) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Numerically bound an extreme eigenvalue of `H(x)` over a box:
-/// seeded probing of the box (always including its center) followed by a
-/// box-projected Nelder–Mead polish from the incumbent.
-fn search_extreme(
-    f: &dyn MonitoredFunction,
-    bounds: &Bounds,
-    es: &EigenSearch,
-    objective: crate::config::EigenObjective,
-    backend: SpectralBackend,
-    which: Extreme,
-) -> f64 {
-    // Objective in minimization form.
-    let eval = |x: &[f64]| -> f64 {
-        let h = f.hessian(x);
-        match objective {
-            crate::config::EigenObjective::Exact => {
-                let eig = SymEigen::with_backend(&h, backend);
-                match which {
-                    Extreme::Min => eig.lambda_min(),
-                    Extreme::Max => -eig.lambda_max(),
-                }
-            }
-            crate::config::EigenObjective::Gershgorin => {
-                let (lo, hi) = gershgorin_bounds(&h);
-                match which {
-                    Extreme::Min => lo,
-                    Extreme::Max => -hi,
-                }
-            }
-        }
-    };
-
-    let mut best_x = bounds.center();
-    let mut best_v = eval(&best_x);
-    let mut rng = SmallRng::seed_from_u64(es.seed ^ (which == Extreme::Max) as u64);
-    let d = bounds.dim();
-    for _ in 0..es.probes {
-        let p: Vec<f64> = (0..d)
-            .map(|i| {
-                if bounds.lo[i] < bounds.hi[i] {
-                    rng.gen_range(bounds.lo[i]..=bounds.hi[i])
-                } else {
-                    bounds.lo[i]
-                }
-            })
-            .collect();
-        let v = eval(&p);
-        if v < best_v {
-            best_v = v;
-            best_x = p;
-        }
-    }
-    if es.nm_iters > 0 && d <= es.nm_dim_cap {
-        let opts = OptimizeOptions {
-            max_iters: es.nm_iters,
-            tol: 1e-10,
-            ..Default::default()
-        };
-        let mut obj = eval;
-        let r = nelder_mead(&mut obj, &best_x, bounds, &opts);
-        if r.value < best_v {
-            best_v = r.value;
-        }
-    }
-    match which {
-        Extreme::Min => best_v,
-        Extreme::Max => -best_v,
-    }
-}
-
-/// Both extreme-eigenvalue searches plus the DC heuristic's
+/// ADCD-X extreme search under the Gershgorin objective (the paper's
+/// §6 extension): both extreme searches plus the DC heuristic's
 /// reference-point spectrum, batched and fanned across `workers`
 /// threads. Returns `(λ̂_min, λ̂_max, λ_min(H(x0)), λ_max(H(x0)))`.
 ///
-/// Bit-identical to running [`search_extreme`] for each extreme followed
-/// by `SymEigen::new(&f.hessian(x0))`, for every `workers ≥ 1`:
+/// Bit-identical, for every `workers ≥ 1`, to the one-probe-at-a-time
+/// search (seeded probes of the box, then a Nelder–Mead polish from the
+/// incumbent, per extreme) that the tests keep as its oracle:
 ///
 /// * probe points are pre-generated from the same per-search seeded
-///   streams the sequential loop consumes (generation never depends on
-///   evaluation results, so hoisting it is exact);
-/// * per-point Hessians come from [`HessianEvaluator`] replays and
-///   eigenvalues from [`EigenWorkspace`], both bit-identical to the
-///   `f.hessian` + [`SymEigen`] pair they replace — and allocation-free
-///   across points, which is where the single-thread speedup lives;
+///   streams the one-at-a-time loop consumes (generation never depends
+///   on evaluation results, so hoisting it is exact);
+/// * per-point Hessians come from [`HessianEvaluator`] replays,
+///   bit-identical to `f.hessian` and allocation-free across points, and
+///   the reference point's exact eigenvalues from [`EigenWorkspace`],
+///   bit-identical to [`SymEigen`];
 /// * [`par_map_with`] pins each result to its item's slot, and the
-///   argmin reductions then replay the sequential order (center first,
-///   probes in stream order, strict `<`);
-/// * the center Hessian is decomposed once and shared by both searches —
-///   the sequential path decomposes the same matrix twice and Jacobi is
-///   deterministic, so the shared values match both uses exactly.
+///   argmin reductions then replay the one-at-a-time order (center
+///   first, probes in stream order, strict `<`);
+/// * the center Hessian's disc bounds are computed once and shared by
+///   both searches.
 ///
 /// [`HessianEvaluator`]: automon_autodiff::HessianEvaluator
 fn search_extremes_batched(
@@ -491,8 +330,6 @@ fn search_extremes_batched(
     x0: &[f64],
     bounds: &Bounds,
     es: &EigenSearch,
-    objective: EigenObjective,
-    backend: SpectralBackend,
     workers: usize,
 ) -> (f64, f64, f64, f64) {
     let d = bounds.dim();
@@ -530,8 +367,8 @@ fn search_extremes_batched(
             he.hessian_into(x, h);
             // x0 (index 1) feeds the DC heuristic, which reads exact
             // eigenvalues regardless of the probe objective.
-            if idx == 1 || objective == EigenObjective::Exact {
-                ws.extreme_eigenvalues_backend(h, backend)
+            if idx == 1 {
+                ws.extreme_eigenvalues(h)
             } else {
                 gershgorin_bounds(h)
             }
@@ -543,7 +380,7 @@ fn search_extremes_batched(
         Extreme::Min => lo,
         Extreme::Max => -hi,
     };
-    // The argmin replays the sequential order: center first, then
+    // The argmin replays the one-at-a-time order: center first, then
     // probes in stream order under strict `<`. `None` keeps the center.
     let reduce = |which: Extreme, probe_vals: &[(f64, f64)]| {
         let mut best_v = signed(which, extremes[0]);
@@ -567,14 +404,10 @@ fn search_extremes_batched(
     // concurrently when a second worker is available.
     let polish = |which: Extreme, start: &[f64], incumbent: f64| -> f64 {
         let mut he = f.hessian_eval();
-        let mut ws = EigenWorkspace::new();
         let mut h = Matrix::zeros(d, d);
         let mut eval = |x: &[f64]| -> f64 {
             he.hessian_into(x, &mut h);
-            match objective {
-                EigenObjective::Exact => signed(which, ws.extreme_eigenvalues_backend(&h, backend)),
-                EigenObjective::Gershgorin => signed(which, gershgorin_bounds(&h)),
-            }
+            signed(which, gershgorin_bounds(&h))
         };
         let opts = OptimizeOptions {
             max_iters: es.nm_iters,
@@ -629,8 +462,8 @@ impl SymOperator for HvpProbeOp<'_> {
     }
 }
 
-/// ADCD-X extreme search, matrix-free (the [`SpectralBackend::Ql`] +
-/// [`EigenObjective::Exact`] path). Returns
+/// ADCD-X extreme search, matrix-free (the [`EigenObjective::Exact`]
+/// path). Returns
 /// `(λ̂_min, λ̂_max, λ_min(H(x0)), λ_max(H(x0)))`.
 ///
 /// Materializes exactly two Hessians — `H(x0)` for the DC heuristic and
@@ -647,21 +480,20 @@ impl SymOperator for HvpProbeOp<'_> {
 ///
 /// The search runs as two independent streams, one per extreme. Within
 /// a stream everything is strictly sequential: probes are drawn from
-/// the same seeded generator [`search_extreme`] uses and evaluated in
+/// the same seeded generator the Gershgorin search uses and evaluated in
 /// order, each Lanczos run warm-starting from the previous run's Ritz
 /// vector, and the Nelder–Mead polish continues the same chain.
 /// Parallelism only ever places the two whole streams on two threads,
 /// so results are bit-identical for every [`crate::Parallelism`]
-/// setting — including `Sequential` — by construction.
+/// setting by construction.
 fn search_extremes_lanczos(
     f: &dyn MonitoredFunction,
     x0: &[f64],
     bounds: &Bounds,
     es: &EigenSearch,
     workers: usize,
-    seeds: Option<&RitzSeeds>,
     stats: &mut SpectralStats,
-) -> (f64, f64, f64, f64, RitzSeeds) {
+) -> (f64, f64, f64, f64) {
     let d = bounds.dim();
     let center = bounds.center();
     // One graph workspace serves both dense Hessians (bit-identical to
@@ -679,7 +511,7 @@ fn search_extremes_lanczos(
     let shift = 0.5 * (glo + ghi);
     let scale = 0.5 * (ghi - glo);
 
-    let run_stream = |which: Extreme| -> (f64, LanczosStats, u64, Vec<f64>) {
+    let run_stream = |which: Extreme| -> (f64, LanczosStats, u64) {
         let mut ls = LanczosStats::default();
         let mut evals = 0u64;
         let (side, col) = match which {
@@ -687,20 +519,7 @@ fn search_extremes_lanczos(
             Extreme::Max => (RitzSide::Largest, d - 1),
         };
         let mut ws = LanczosWorkspace::new();
-        // A cached warm-start seed (from a prior search in the same
-        // cell) replaces the center eigenvector as the initial Krylov
-        // direction; H(center) is still materialized — the incumbent
-        // and the Gershgorin shift/scale anchor correctness.
-        let seed = seeds
-            .map(|s| match which {
-                Extreme::Min => &s.min,
-                Extreme::Max => &s.max,
-            })
-            .filter(|v| v.len() == d);
-        let start: Vec<f64> = match seed {
-            Some(v) => v.clone(),
-            None => (0..d).map(|i| eigc.vectors[(i, col)]).collect(),
-        };
+        let start: Vec<f64> = (0..d).map(|i| eigc.vectors[(i, col)]).collect();
         ws.set_start(&start);
         let mut he = f.hvp_eval();
         let lopts = LanczosOptions::default();
@@ -750,10 +569,7 @@ fn search_extremes_lanczos(
                 best_v = r.value;
             }
         }
-        // After the last evaluation the workspace start vector is the
-        // chosen side's converged Ritz vector (or the untouched seed if
-        // nothing was evaluated) — capture it for the cache.
-        (best_v, ls, evals, ws.start_vector().to_vec())
+        (best_v, ls, evals)
     };
 
     let (min_res, max_res) = if workers >= 2 {
@@ -772,23 +588,14 @@ fn search_extremes_lanczos(
     };
 
     // Merge counters in fixed min-then-max order.
-    let (min_v, min_ls, min_evals, min_ritz) = min_res;
-    let (max_v, max_ls, max_evals, max_ritz) = max_res;
+    let (min_v, min_ls, min_evals) = min_res;
+    let (max_v, max_ls, max_evals) = max_res;
     stats.eigen_probes = min_evals + max_evals;
     stats.lanczos_iterations = min_ls.iterations + max_ls.iterations;
     stats.reorth_passes = min_ls.reorth_passes + max_ls.reorth_passes;
     stats.hvp_applies = min_ls.applies + max_ls.applies;
 
-    (
-        min_v,
-        -max_v,
-        eig0.lambda_min(),
-        eig0.lambda_max(),
-        RitzSeeds {
-            min: min_ritz,
-            max: max_ritz,
-        },
-    )
+    (min_v, -max_v, eig0.lambda_min(), eig0.lambda_max())
 }
 
 #[cfg(test)]
@@ -797,7 +604,84 @@ mod tests {
     use crate::config::MonitorConfig;
     use crate::safezone::NeighborhoodBox;
     use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
-    use automon_linalg::Matrix;
+    use automon_linalg::{JacobiOptions, Matrix};
+
+    /// Test oracle: bound one extreme eigenvalue of `H(x)` over a box,
+    /// one probe at a time — seeded probing of the box (center first),
+    /// then a box-projected Nelder–Mead polish from the incumbent.
+    /// `spectrum` maps a dense Hessian to its `(λ_min, λ_max)` (or an
+    /// enclosure of them).
+    fn search_extreme(
+        f: &dyn MonitoredFunction,
+        bounds: &Bounds,
+        es: &EigenSearch,
+        spectrum: impl Fn(&Matrix) -> (f64, f64),
+        which: Extreme,
+    ) -> f64 {
+        // Objective in minimization form.
+        let eval = |x: &[f64]| -> f64 {
+            let (lo, hi) = spectrum(&f.hessian(x));
+            match which {
+                Extreme::Min => lo,
+                Extreme::Max => -hi,
+            }
+        };
+
+        let mut best_x = bounds.center();
+        let mut best_v = eval(&best_x);
+        let mut rng = SmallRng::seed_from_u64(es.seed ^ (which == Extreme::Max) as u64);
+        let d = bounds.dim();
+        for _ in 0..es.probes {
+            let p: Vec<f64> = (0..d)
+                .map(|i| {
+                    if bounds.lo[i] < bounds.hi[i] {
+                        rng.gen_range(bounds.lo[i]..=bounds.hi[i])
+                    } else {
+                        bounds.lo[i]
+                    }
+                })
+                .collect();
+            let v = eval(&p);
+            if v < best_v {
+                best_v = v;
+                best_x = p;
+            }
+        }
+        if es.nm_iters > 0 && d <= es.nm_dim_cap {
+            let opts = OptimizeOptions {
+                max_iters: es.nm_iters,
+                tol: 1e-10,
+                ..Default::default()
+            };
+            let mut obj = eval;
+            let r = nelder_mead(&mut obj, &best_x, bounds, &opts);
+            if r.value < best_v {
+                best_v = r.value;
+            }
+        }
+        match which {
+            Extreme::Min => best_v,
+            Extreme::Max => -best_v,
+        }
+    }
+
+    /// Both extremes of the [`search_extreme`] oracle: `(λ̂_min, λ̂_max)`.
+    fn oracle_extremes(
+        f: &dyn MonitoredFunction,
+        b: &NeighborhoodBox,
+        spectrum: impl Fn(&Matrix) -> (f64, f64) + Copy,
+    ) -> (f64, f64) {
+        let (bounds, es) = (b.to_bounds(), EigenSearch::default());
+        (
+            search_extreme(f, &bounds, &es, spectrum, Extreme::Min),
+            search_extreme(f, &bounds, &es, spectrum, Extreme::Max),
+        )
+    }
+
+    fn jacobi_extremes(h: &Matrix) -> (f64, f64) {
+        let eig = SymEigen::with_options(h, JacobiOptions::default());
+        (eig.lambda_min(), eig.lambda_max())
+    }
 
     struct Saddle;
     impl ScalarFn for Saddle {
@@ -954,122 +838,105 @@ mod tests {
     #[test]
     fn batched_search_bit_identical_to_sequential() {
         use crate::config::Parallelism;
-        use automon_linalg::SpectralBackend;
         let f = AutoDiffFn::new(Coupled);
         let x0 = [0.3, -0.2, 0.1];
         let b = coupled_box();
-        for backend in [SpectralBackend::Ql, SpectralBackend::Jacobi] {
-            for objective in [false, true] {
-                let build = |p: Parallelism| {
-                    let mut c = MonitorConfig::builder(0.1)
-                        .parallelism(p)
-                        .spectral_backend(backend);
-                    if objective {
-                        c = c.gershgorin_bounds();
-                    }
-                    c.build()
-                };
-                let seq = decompose(&f, &x0, Some(&b), &build(Parallelism::Sequential));
-                for workers in [1usize, 2, 5] {
-                    let par = decompose(&f, &x0, Some(&b), &build(Parallelism::Threads(workers)));
-                    assert_eq!(
-                        par.lambda_min_hat.to_bits(),
-                        seq.lambda_min_hat.to_bits(),
-                        "λ̂_min diverged at {workers} workers (gershgorin={objective}, {backend:?})"
-                    );
-                    assert_eq!(
-                        par.lambda_max_hat.to_bits(),
-                        seq.lambda_max_hat.to_bits(),
-                        "λ̂_max diverged at {workers} workers (gershgorin={objective}, {backend:?})"
-                    );
-                    assert_eq!(par.dc, seq.dc);
-                    if backend == SpectralBackend::Ql && !objective {
-                        // The Lanczos path runs identical code for every
-                        // parallelism setting, counters included. The
-                        // legacy paths' estimates legitimately differ by
-                        // one (the sequential path decomposes the center
-                        // twice).
-                        assert_eq!(
-                            par.spectral, seq.spectral,
-                            "spectral stats diverged at {workers} workers"
-                        );
-                    } else {
-                        assert_eq!(par.spectral.eigen_probes, seq.spectral.eigen_probes);
-                    }
-                }
-            }
+        let gersh = |p: Parallelism| {
+            MonitorConfig::builder(0.1)
+                .parallelism(p)
+                .gershgorin_bounds()
+                .build()
+        };
+        // The batched Gershgorin pipeline replays the one-at-a-time
+        // oracle bit for bit at every worker count.
+        let (lmin, lmax) = oracle_extremes(&f, &b, gershgorin_bounds);
+        let one = decompose(&f, &x0, Some(&b), &gersh(Parallelism::Threads(1)));
+        for workers in [1usize, 2, 5] {
+            let par = decompose(&f, &x0, Some(&b), &gersh(Parallelism::Threads(workers)));
+            assert_eq!(
+                par.lambda_min_hat.to_bits(),
+                lmin.to_bits(),
+                "λ̂_min diverged from the oracle at {workers} workers"
+            );
+            assert_eq!(
+                par.lambda_max_hat.to_bits(),
+                lmax.to_bits(),
+                "λ̂_max diverged from the oracle at {workers} workers"
+            );
+            assert_eq!(par.dc, one.dc);
+            assert_eq!(par.spectral, one.spectral);
+        }
+        // The Lanczos path runs identical code for every parallelism
+        // setting, counters included.
+        let exact = |p: Parallelism| MonitorConfig::builder(0.1).parallelism(p).build();
+        let one = decompose(&f, &x0, Some(&b), &exact(Parallelism::Threads(1)));
+        for p in [Parallelism::Threads(2), Parallelism::Threads(5), Parallelism::Auto] {
+            let par = decompose(&f, &x0, Some(&b), &exact(p));
+            assert_eq!(par.lambda_min_hat.to_bits(), one.lambda_min_hat.to_bits(), "{p:?}");
+            assert_eq!(par.lambda_max_hat.to_bits(), one.lambda_max_hat.to_bits(), "{p:?}");
+            assert_eq!(par.dc, one.dc);
+            assert_eq!(par.spectral, one.spectral, "spectral stats diverged at {p:?}");
         }
     }
 
     #[test]
     fn spectral_backends_agree_end_to_end() {
-        use automon_linalg::SpectralBackend;
-        // Fixed-seed ADCD parity across backends: ADCD-E (constant
-        // Hessian), ADCD-X exact (Lanczos vs materialized Jacobi), and
-        // the DC heuristic all land on the same decomposition.
+        // Fixed-seed ADCD parity against the dense Jacobi oracle:
+        // ADCD-E (constant Hessian, QL split) and ADCD-X exact
+        // (matrix-free Lanczos vs a dense Jacobi search over the same
+        // probes and polish) land on the same extremes.
         let saddle = AutoDiffFn::new(Saddle);
         let coupled = AutoDiffFn::new(Coupled);
         let x0e = [0.0, 0.0];
         let x0x = [0.3, -0.2, 0.1];
         let b = coupled_box();
-        let cfg_with = |backend| {
-            MonitorConfig::builder(0.1)
-                .spectral_backend(backend)
-                .build()
-        };
-        let (ql, jac) = (
-            cfg_with(SpectralBackend::Ql),
-            cfg_with(SpectralBackend::Jacobi),
-        );
+        let c = cfg();
 
-        let eq = decompose(&saddle, &x0e, None, &ql);
-        let ej = decompose(&saddle, &x0e, None, &jac);
+        let eq = decompose(&saddle, &x0e, None, &c);
+        let (jmin, jmax) = jacobi_extremes(&saddle.hessian(&x0e));
         assert_eq!(eq.kind, AdcdKind::E);
-        assert_eq!(eq.dc, ej.dc);
-        assert!((eq.lambda_min_hat - ej.lambda_min_hat).abs() < 1e-9);
-        assert!((eq.lambda_max_hat - ej.lambda_max_hat).abs() < 1e-9);
+        assert!((eq.lambda_min_hat - jmin).abs() < 1e-9);
+        assert!((eq.lambda_max_hat - jmax).abs() < 1e-9);
 
-        let xq = decompose(&coupled, &x0x, Some(&b), &ql);
-        let xj = decompose(&coupled, &x0x, Some(&b), &jac);
+        let xq = decompose(&coupled, &x0x, Some(&b), &c);
+        let (jmin, jmax) = oracle_extremes(&coupled, &b, jacobi_extremes);
         assert_eq!(xq.kind, AdcdKind::X);
-        assert_eq!(xq.dc, xj.dc, "DC heuristic flipped across backends");
-        let scale = xj.lambda_min_hat.abs().max(xj.lambda_max_hat.abs()).max(1.0);
+        let scale = jmin.abs().max(jmax.abs()).max(1.0);
         assert!(
-            (xq.lambda_min_hat - xj.lambda_min_hat).abs() < 1e-6 * scale,
+            (xq.lambda_min_hat - jmin).abs() < 1e-6 * scale,
             "λ̂_min: lanczos {} vs jacobi {}",
             xq.lambda_min_hat,
-            xj.lambda_min_hat
+            jmin
         );
         assert!(
-            (xq.lambda_max_hat - xj.lambda_max_hat).abs() < 1e-6 * scale,
+            (xq.lambda_max_hat - jmax).abs() < 1e-6 * scale,
             "λ̂_max: lanczos {} vs jacobi {}",
             xq.lambda_max_hat,
-            xj.lambda_max_hat
+            jmax
         );
     }
 
     #[test]
     fn lanczos_path_never_materializes_probe_hessians() {
-        use automon_linalg::SpectralBackend;
         // Growing the probe budget must not grow the Hessian
         // materialization count on the matrix-free path (the record-once
-        // acceptance criterion); the materialized Jacobi path pays one
-        // dense Hessian per probe.
+        // acceptance criterion); the materialized Gershgorin path pays
+        // one dense Hessian per probe.
         let f = AutoDiffFn::new(Coupled);
         let x0 = [0.3, -0.2, 0.1];
         let b = coupled_box();
-        let run = |backend, probes| {
-            let cfg = MonitorConfig::builder(0.1)
-                .spectral_backend(backend)
-                .eigen_search(EigenSearch {
-                    probes,
-                    ..EigenSearch::default()
-                })
-                .build();
-            decompose(&f, &x0, Some(&b), &cfg).spectral
+        let run = |gershgorin: bool, probes| {
+            let mut cfg = MonitorConfig::builder(0.1).eigen_search(EigenSearch {
+                probes,
+                ..EigenSearch::default()
+            });
+            if gershgorin {
+                cfg = cfg.gershgorin_bounds();
+            }
+            decompose(&f, &x0, Some(&b), &cfg.build()).spectral
         };
-        let small = run(SpectralBackend::Ql, 4);
-        let large = run(SpectralBackend::Ql, 16);
+        let small = run(false, 4);
+        let large = run(false, 16);
         assert_eq!(small.hessian_materializations, 2);
         assert_eq!(large.hessian_materializations, 2);
         assert!(
@@ -1082,13 +949,13 @@ mod tests {
         assert!(large.reorth_passes > 0);
         assert!(large.hvp_applies >= large.lanczos_iterations);
 
-        let jac = run(SpectralBackend::Jacobi, 16);
+        let dense = run(true, 16);
         assert!(
-            jac.hessian_materializations > 2 + 16,
+            dense.hessian_materializations > 2 + 16,
             "materialized path should pay per probe, got {}",
-            jac.hessian_materializations
+            dense.hessian_materializations
         );
-        assert_eq!(jac.lanczos_iterations, 0);
+        assert_eq!(dense.lanczos_iterations, 0);
     }
 }
 

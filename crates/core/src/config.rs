@@ -1,9 +1,7 @@
 //! Monitoring configuration.
 
 use crate::adcd::AdcdKind;
-use crate::cache::DecompCacheConfig;
 use crate::safezone::DcKind;
-use automon_linalg::SpectralBackend;
 use automon_opt::OptimizeOptions;
 
 /// How the thresholds `L, U` derive from `f(x0)` and `ε` (paper §2).
@@ -46,8 +44,9 @@ impl NeighborhoodMode {
 /// spectrum bounds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EigenObjective {
-    /// Exact per-point eigenvalues via the Jacobi decomposition — the
-    /// paper's approach (tightest safe zones, O(d³) per probe).
+    /// Exact per-point extreme eigenvalues — the paper's approach
+    /// (tightest safe zones), computed matrix-free by Lanczos on
+    /// Hessian-vector products.
     Exact,
     /// Gershgorin disc bounds per probe — `λ_min ≥ min_i (h_ii - R_i)`,
     /// `λ_max ≤ max_i (h_ii + R_i)` — the cheap, conservative
@@ -60,19 +59,13 @@ pub enum EigenObjective {
 /// Degree of parallelism for the full-sync hot path (ADCD-X eigen
 /// search, per-node constraint checks).
 ///
-/// The batched pipeline (`Threads`/`Auto`) is deterministic: probe
-/// points are pre-generated from the same seeded streams as the
-/// sequential path and reductions happen in a fixed order, so results
-/// are bit-identical for every worker count `≥ 1`. `Sequential` instead
-/// runs the original one-probe-at-a-time code path verbatim, byte for
-/// byte — kept both as the reference the batched path is tested
-/// against and as a rollback switch.
+/// The full sync is deterministic for every setting: probe points come
+/// from seeded streams and reductions happen in a fixed order, so
+/// results are bit-identical for every worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Legacy single-threaded code path (pre-batching behavior).
-    Sequential,
-    /// Batched pipeline on `n` worker threads (`n = 1` runs the batched
-    /// pipeline inline, without spawning).
+    /// `n` worker threads (`n = 1` runs everything inline, without
+    /// spawning).
     Threads(usize),
     /// Batched pipeline sized to `std::thread::available_parallelism()`.
     #[default]
@@ -80,11 +73,9 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// Number of worker threads the batched pipeline will use; `0` means
-    /// the legacy sequential path.
+    /// Number of worker threads the full sync will use (at least 1).
     pub fn workers(&self) -> usize {
         match *self {
-            Parallelism::Sequential => 0,
             Parallelism::Threads(n) => n.max(1),
             Parallelism::Auto => std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -94,12 +85,10 @@ impl Parallelism {
 }
 
 impl From<usize> for Parallelism {
-    /// CLI-friendly conversion: `0` → `Auto`, `1` → `Sequential`,
-    /// `n ≥ 2` → `Threads(n)`.
+    /// CLI-friendly conversion: `0` → `Auto`, `n ≥ 1` → `Threads(n)`.
     fn from(n: usize) -> Self {
         match n {
             0 => Parallelism::Auto,
-            1 => Parallelism::Sequential,
             n => Parallelism::Threads(n),
         }
     }
@@ -172,14 +161,6 @@ pub struct MonitorConfig {
     /// How per-probe extreme eigenvalues are computed (exact vs
     /// Gershgorin bounds; §6 extension).
     pub eigen_objective: EigenObjective,
-    /// Which spectral kernel ADCD uses. The default
-    /// ([`SpectralBackend::Ql`]) routes full decompositions through
-    /// Householder + implicit-shift QL and, when the probe objective is
-    /// [`EigenObjective::Exact`], drives the ADCD-X search matrix-free
-    /// via Lanczos on Hessian-vector products.
-    /// [`SpectralBackend::Jacobi`] is the original cyclic-Jacobi path,
-    /// kept as a rollback switch and test oracle.
-    pub spectral_backend: SpectralBackend,
     /// Degree of parallelism for the full-sync hot path.
     pub parallelism: Parallelism,
     /// Options for the general-purpose optimizer (tuning procedures).
@@ -188,10 +169,6 @@ pub struct MonitorConfig {
     /// after `adaptive_r_factor · n` consecutive neighborhood violations
     /// with no safe-zone violation in between (paper §3.6 uses 5).
     pub adaptive_r_factor: usize,
-    /// Coordinator decomposition cache (`None` = off, the default).
-    /// Exact hits skip the full-sync eigendecomposition; see
-    /// [`crate::cache::DecompCache`] for the bit-identity contract.
-    pub decomp_cache: Option<DecompCacheConfig>,
 }
 
 impl MonitorConfig {
@@ -224,11 +201,9 @@ impl MonitorConfigBuilder {
                 eigen_margin: 1.0,
                 eigen_search: EigenSearch::default(),
                 eigen_objective: EigenObjective::Exact,
-                spectral_backend: SpectralBackend::default(),
                 parallelism: Parallelism::default(),
                 opt: OptimizeOptions::default(),
                 adaptive_r_factor: 5,
-                decomp_cache: None,
             },
         }
     }
@@ -297,30 +272,9 @@ impl MonitorConfigBuilder {
         self
     }
 
-    /// Pick the spectral kernel ([`SpectralBackend::Ql`] is the
-    /// default; [`SpectralBackend::Jacobi`] is the legacy escape hatch).
-    pub fn spectral_backend(mut self, b: SpectralBackend) -> Self {
-        self.cfg.spectral_backend = b;
-        self
-    }
-
     /// Set the full-sync parallelism policy.
     pub fn parallelism(mut self, p: Parallelism) -> Self {
         self.cfg.parallelism = p;
-        self
-    }
-
-    /// Enable the coordinator decomposition cache (off by default).
-    pub fn decomp_cache(mut self, cache: DecompCacheConfig) -> Self {
-        assert!(cache.capacity >= 1, "cache capacity must be ≥ 1");
-        assert!(cache.cell > 0.0, "cache cell width must be positive");
-        self.cfg.decomp_cache = Some(cache);
-        self
-    }
-
-    /// Set or clear the decomposition-cache configuration (CLI plumbing).
-    pub fn decomp_cache_opt(mut self, cache: Option<DecompCacheConfig>) -> Self {
-        self.cfg.decomp_cache = cache;
         self
     }
 
@@ -367,9 +321,10 @@ mod tests {
     #[test]
     fn parallelism_mapping() {
         assert_eq!(Parallelism::from(0), Parallelism::Auto);
-        assert_eq!(Parallelism::from(1), Parallelism::Sequential);
+        assert_eq!(Parallelism::from(1), Parallelism::Threads(1));
         assert_eq!(Parallelism::from(4), Parallelism::Threads(4));
-        assert_eq!(Parallelism::Sequential.workers(), 0);
+        assert_eq!(Parallelism::Threads(1).workers(), 1);
+        assert_eq!(Parallelism::Threads(0).workers(), 1);
         assert_eq!(Parallelism::Threads(3).workers(), 3);
         assert!(Parallelism::Auto.workers() >= 1);
         let cfg = MonitorConfig::builder(0.1)
@@ -379,21 +334,6 @@ mod tests {
         assert_eq!(
             MonitorConfig::builder(0.1).build().parallelism,
             Parallelism::Auto
-        );
-    }
-
-    #[test]
-    fn spectral_backend_defaults_to_ql() {
-        assert_eq!(
-            MonitorConfig::builder(0.1).build().spectral_backend,
-            SpectralBackend::Ql
-        );
-        assert_eq!(
-            MonitorConfig::builder(0.1)
-                .spectral_backend(SpectralBackend::Jacobi)
-                .build()
-                .spectral_backend,
-            SpectralBackend::Jacobi
         );
     }
 

@@ -8,11 +8,11 @@ use automon_linalg::vector;
 use automon_obs::{Counter, Gauge, Telemetry, TraceCtx};
 
 use crate::adcd::{self, AdcdKind, DcDecomposition};
-use crate::cache::{CacheLookup, SharedDecompCache, SlotList};
 use crate::config::{ApproximationKind, MonitorConfig};
 use crate::ledger::CommCause;
 use crate::messages::{CoordinatorMessage, Epoch, NodeId, NodeMessage, Outbound};
-use crate::safezone::{Curvature, DcKind, Domain, NeighborhoodBox, SafeZone, ViolationKind};
+use crate::safezone::{Curvature, DcKind, Domain, SafeZone, ViolationKind};
+use crate::slot_list::SlotList;
 use crate::MonitoredFunction;
 
 /// Counters the coordinator accumulates over a run.
@@ -157,14 +157,6 @@ struct CoordTel {
     /// Lazy-sync growth picks that had to fall back to a backpressured
     /// node because no unpressured candidate existed.
     backpressure_fallbacks: Counter,
-    cache_hits: Counter,
-    cache_near_hits: Counter,
-    cache_misses: Counter,
-    cache_evictions: Counter,
-    cache_ghost_hits: Counter,
-    /// Per-policy adaptation gauge, labeled with the active policy;
-    /// only registered when the decomposition cache is configured.
-    cache_adaptation: Option<Gauge>,
     snap_taken: Counter,
     snap_deferred: Counter,
     epoch: Gauge,
@@ -173,21 +165,7 @@ struct CoordTel {
 }
 
 impl CoordTel {
-    /// `cache_policy` is the active decomposition-cache policy name,
-    /// when the cache is configured; it labels the per-policy gauges.
-    fn new(tel: Telemetry, cache_policy: Option<&'static str>) -> Self {
-        let cache_adaptation = cache_policy.map(|p| {
-            let g = tel.gauge(
-                &format!("automon_coord_decomp_cache_policy{{policy=\"{p}\"}}"),
-                "Active decomposition-cache eviction policy (1 = active)",
-            );
-            g.set(1.0);
-            tel.gauge(
-                &format!("automon_coord_decomp_cache_adaptation{{policy=\"{p}\"}}"),
-                "Policy adaptation signal (ARC target p, SLRU protected \
-                 occupancy, LRU-K fully-observed residents)",
-            )
-        });
+    fn new(tel: Telemetry) -> Self {
         Self {
             full_syncs: tel.counter(
                 "automon_coord_full_syncs_total",
@@ -237,27 +215,6 @@ impl CoordTel {
                 "automon_coord_backpressure_fallbacks_total",
                 "Lazy-sync growth picks forced onto a backpressured node",
             ),
-            cache_hits: tel.counter(
-                "automon_coord_decomp_cache_hits_total",
-                "Decomposition-cache exact hits (eigendecomposition skipped)",
-            ),
-            cache_near_hits: tel.counter(
-                "automon_coord_decomp_cache_near_hits_total",
-                "Decomposition-cache near hits (Lanczos warm-started)",
-            ),
-            cache_misses: tel.counter(
-                "automon_coord_decomp_cache_misses_total",
-                "Decomposition-cache misses",
-            ),
-            cache_evictions: tel.counter(
-                "automon_coord_decomp_cache_evictions_total",
-                "Decomposition-cache entries evicted",
-            ),
-            cache_ghost_hits: tel.counter(
-                "automon_coord_decomp_cache_ghost_hits_total",
-                "Decomposition-cache ghost-list hits (ARC)",
-            ),
-            cache_adaptation,
             snap_taken: tel.counter(
                 "automon_coord_snapshot_taken_total",
                 "Durable snapshots captured (including retried deferrals)",
@@ -313,11 +270,6 @@ pub struct Coordinator {
     stats: CoordinatorStats,
     /// Cached ADCD-E decomposition (constant Hessian ⇒ computed once).
     e_cache: Option<DcDecomposition>,
-    /// Decomposition cache for ADCD-X full syncs (`None` = off).
-    decomp_cache: Option<SharedDecompCache>,
-    /// Key namespace for this coordinator's function in a (possibly
-    /// fleet-shared) decomposition cache.
-    cache_fn_id: u64,
     /// Nodes that already hold the current curvature (can receive the
     /// matrix-free `NewConstraintsCached`).
     node_has_curvature: Vec<bool>,
@@ -353,11 +305,6 @@ impl Coordinator {
         let d = f.dim();
         let domain = Domain::of(f.as_ref());
         let r = cfg.neighborhood.initial_r();
-        let decomp_cache = cfg
-            .decomp_cache
-            .as_ref()
-            .map(|c| SharedDecompCache::from_config(c.clone()));
-        let cache_policy = cfg.decomp_cache.as_ref().map(|c| c.policy.name());
         Self {
             f,
             n,
@@ -371,8 +318,6 @@ impl Coordinator {
             state: SyncState::Initializing,
             stats: CoordinatorStats::default(),
             e_cache: None,
-            decomp_cache,
-            cache_fn_id: 0,
             node_has_curvature: vec![false; n],
             consecutive_neighborhood: 0,
             observer: None,
@@ -381,7 +326,7 @@ impl Coordinator {
             backpressured: vec![false; n],
             journal: None,
             snapshot_deferred: false,
-            tel: CoordTel::new(Telemetry::disabled(), cache_policy),
+            tel: CoordTel::new(Telemetry::disabled()),
         }
     }
 
@@ -398,7 +343,7 @@ impl Coordinator {
     /// loop, so its trace events satisfy the sequential-context contract
     /// of [`automon_obs::trace`].
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        let t = CoordTel::new(tel, self.cfg.decomp_cache.as_ref().map(|c| c.policy.name()));
+        let t = CoordTel::new(tel);
         t.epoch.set(self.epoch as f64);
         t.radius.set(self.r);
         t.alive.set(self.alive_count() as f64);
@@ -476,28 +421,6 @@ impl Coordinator {
             self.journal_node(t);
         }
         self.journal_control();
-    }
-
-    /// Share an external decomposition cache (e.g. across a coordinator
-    /// fleet), keying this coordinator's entries under `fn_id`. If the
-    /// cache remembers a tuned neighborhood radius for `fn_id` and this
-    /// coordinator has not completed a sync yet, the tuned radius is
-    /// adopted.
-    pub fn set_decomp_cache(&mut self, cache: SharedDecompCache, fn_id: u64) {
-        if self.zone.is_none() {
-            if let Some(r) = cache.lock().tuned_r(fn_id) {
-                if r > 0.0 {
-                    self.r = r;
-                }
-            }
-        }
-        self.decomp_cache = Some(cache);
-        self.cache_fn_id = fn_id;
-    }
-
-    /// The decomposition cache in use, if any (shareable via clone).
-    pub fn decomp_cache(&self) -> Option<&SharedDecompCache> {
-        self.decomp_cache.as_ref()
     }
 
     fn notify(&mut self, event: CoordinatorEvent) {
@@ -687,11 +610,6 @@ impl Coordinator {
     pub fn set_neighborhood_r(&mut self, r: f64) {
         assert!(r > 0.0, "neighborhood radius must be positive");
         self.r = r;
-        // Tuned radii ride along in the decomposition cache so a fleet
-        // sharing it also shares the Algorithm-2 result.
-        if let Some(cache) = &self.decomp_cache {
-            cache.lock().remember_tuned_r(self.cache_fn_id, r);
-        }
         if self.journal.is_some() {
             self.journal_zone();
             self.journal_control();
@@ -819,11 +737,6 @@ impl Coordinator {
         };
         // The domain is code-derived, exactly as in `new`.
         let domain = Domain::of(f.as_ref());
-        let decomp_cache = cfg
-            .decomp_cache
-            .as_ref()
-            .map(|c| SharedDecompCache::from_config(c.clone()));
-        let cache_policy = cfg.decomp_cache.as_ref().map(|c| c.policy.name());
         Self {
             f,
             n: snap.n,
@@ -837,8 +750,6 @@ impl Coordinator {
             state,
             stats: snap.stats,
             e_cache: None,
-            decomp_cache,
-            cache_fn_id: 0,
             node_has_curvature,
             consecutive_neighborhood: snap.consecutive_neighborhood,
             observer: None,
@@ -847,7 +758,7 @@ impl Coordinator {
             alive,
             journal: None,
             snapshot_deferred: false,
-            tel: CoordTel::new(Telemetry::disabled(), cache_policy),
+            tel: CoordTel::new(Telemetry::disabled()),
         }
     }
 
@@ -1188,62 +1099,6 @@ impl Coordinator {
         out
     }
 
-    /// ADCD-X decomposition for a full sync, consulting the
-    /// decomposition cache when one is configured.
-    ///
-    /// An exact hit (stored inputs bitwise equal) replays the cached
-    /// decomposition — bit-identical to recomputing, since `decompose`
-    /// is deterministic — and skips the eigendecomposition entirely. A
-    /// near hit (same quantized cell, warm starts enabled) seeds the
-    /// Lanczos streams with the cached Ritz vectors. Everything else
-    /// decomposes cold and populates the cache.
-    fn decompose_x_cached(&mut self, x0: &[f64], b: &NeighborhoodBox) -> DcDecomposition {
-        let Some(shared) = self.decomp_cache.clone() else {
-            return adcd::decompose_observed(self.f.as_ref(), x0, Some(b), &self.cfg, &self.tel.tel);
-        };
-        let lookup = shared.lock().lookup(self.cache_fn_id, x0, self.r, b);
-        let seeds = match lookup {
-            CacheLookup::Exact(dec) => {
-                self.tel.cache_hits.inc();
-                self.tel
-                    .tel
-                    .event("decomp_cache", &[("outcome", "hit".into())]);
-                return dec;
-            }
-            CacheLookup::Near(s) => {
-                self.tel.cache_near_hits.inc();
-                self.tel
-                    .tel
-                    .event("decomp_cache", &[("outcome", "near".into())]);
-                Some(s)
-            }
-            CacheLookup::Miss => {
-                self.tel.cache_misses.inc();
-                None
-            }
-        };
-        let (dec, ritz) = adcd::decompose_observed_with_seeds(
-            self.f.as_ref(),
-            x0,
-            Some(b),
-            &self.cfg,
-            seeds.as_ref(),
-            &self.tel.tel,
-        );
-        let mut cache = shared.lock();
-        let report = cache.insert(self.cache_fn_id, x0, self.r, b.clone(), dec.clone(), ritz);
-        if report.evicted > 0 {
-            self.tel.cache_evictions.add(report.evicted as u64);
-        }
-        if report.ghost_hit {
-            self.tel.cache_ghost_hits.inc();
-        }
-        if let Some(g) = &self.tel.cache_adaptation {
-            g.set(cache.adaptation());
-        }
-        dec
-    }
-
     /// Paper Algorithm 1, `CoordinatorFullSync`: recompute `x0`,
     /// thresholds, decomposition, safe zone, and slack; broadcast.
     fn full_sync(&mut self) -> Vec<Outbound> {
@@ -1302,7 +1157,8 @@ impl Coordinator {
                 }
             } else {
                 let b = self.domain.neighborhood(&x0, self.r);
-                let dec = self.decompose_x_cached(&x0, &b);
+                let dec =
+                    adcd::decompose_observed(self.f.as_ref(), &x0, Some(&b), &self.cfg, &self.tel.tel);
                 SafeZone {
                     x0: x0.clone(),
                     f0,

@@ -29,7 +29,6 @@
 //! wrapping a generic function body in `automon_autodiff::AutoDiffFn`.
 
 pub mod adcd;
-pub mod cache;
 mod config;
 pub mod coordinator;
 pub mod journal;
@@ -39,15 +38,11 @@ pub mod node;
 pub mod par;
 pub mod quant;
 pub mod safezone;
+pub mod slot_list;
 pub mod tuning;
 
-pub use adcd::{AdcdKind, DcDecomposition, RitzSeeds, SpectralStats};
-pub use cache::{
-    CacheKey, CacheLookup, CachePolicy, CacheStats, DecompCache, DecompCacheConfig,
-    EvictionPolicy, SharedDecompCache,
-};
+pub use adcd::{AdcdKind, DcDecomposition, SpectralStats};
 pub use config::{ApproximationKind, EigenObjective, EigenSearch, MonitorConfig, MonitorConfigBuilder, NeighborhoodMode, Parallelism};
-pub use automon_linalg::SpectralBackend;
 pub use coordinator::{Coordinator, CoordinatorEvent, CoordinatorSnapshot, CoordinatorStats, Observer};
 pub use journal::{Journal, Transition};
 pub use ledger::{CommCause, CommLedger, LedgerCell, LedgerEntry};

@@ -1,27 +1,17 @@
-//! Shared `x0` cell quantization.
+//! `x0` cell quantization for the fleet's cell router (DESIGN.md
+//! §3.14), which groups streams by the cell of the reference-point grid
+//! their initial vector falls into.
 //!
-//! Two subsystems index state by "which cell of the reference-point grid
-//! does this vector fall into": the coordinator decomposition cache
-//! ([`crate::cache::CacheKey`], DESIGN.md §3.11) and the fleet's shard
-//! router (DESIGN.md §3.14), which groups leaf reference points by cell
-//! so coordinators sharing one decomposition cache actually collide on
-//! the same keys. Both MUST quantize identically — a cache whose keys
-//! are computed one way and a router that buckets another way silently
-//! stops sharing — so the arithmetic lives here, in one place, and both
-//! call it.
-//!
-//! The quantization is an *index*, never a correctness input: exact
-//! cache hits still require bit-identical `x0`/`r`/neighborhood, and
-//! shard routing only affects which coordinator owns a stream, not what
-//! the protocol computes.
+//! The quantization is an *index*, never a correctness input: shard
+//! routing only affects which coordinator owns a stream, not what the
+//! protocol computes.
 
-/// Default cell width of the `x0` grid, shared by
-/// [`crate::cache::DecompCacheConfig`] and the fleet router.
+/// Default cell width of the `x0` grid.
 pub const DEFAULT_CELL: f64 = 1e-3;
 
 /// Quantize a vector onto the cell grid: `floor(x_i / cell)` per
 /// coordinate. Non-positive `cell` widths fall back to
-/// [`DEFAULT_CELL`], matching the cache's config sanitation.
+/// [`DEFAULT_CELL`].
 pub fn quantize_cell(x: &[f64], cell: f64) -> Vec<i64> {
     let cell = sanitize_cell(cell);
     x.iter().map(|&v| (v / cell).floor() as i64).collect()
@@ -33,16 +23,6 @@ pub fn sanitize_cell(cell: f64) -> f64 {
         cell
     } else {
         DEFAULT_CELL
-    }
-}
-
-/// Bucket a neighborhood radius: `floor(log2 r)`, with non-finite or
-/// non-positive radii collapsed into a single sentinel bucket.
-pub fn radius_bucket(r: f64) -> i32 {
-    if r.is_finite() && r > 0.0 {
-        r.log2().floor() as i32
-    } else {
-        i32::MIN
     }
 }
 
@@ -69,17 +49,5 @@ mod tests {
             quantize_cell(&[0.5], DEFAULT_CELL)
         );
         assert_eq!(sanitize_cell(f64::NAN.min(0.0)), DEFAULT_CELL);
-    }
-
-    #[test]
-    fn radius_buckets_are_log2_floors() {
-        assert_eq!(radius_bucket(1.0), 0);
-        assert_eq!(radius_bucket(2.0), 1);
-        assert_eq!(radius_bucket(3.9), 1);
-        assert_eq!(radius_bucket(0.5), -1);
-        assert_eq!(radius_bucket(0.0), i32::MIN);
-        assert_eq!(radius_bucket(-1.0), i32::MIN);
-        assert_eq!(radius_bucket(f64::INFINITY), i32::MIN);
-        assert_eq!(radius_bucket(f64::NAN), i32::MIN);
     }
 }

@@ -112,7 +112,7 @@ proptest! {
         let seq: Vec<(usize, Vec<f64>)> =
             ops.iter().map(|&op| decode_op(op, n)).collect();
         let cut = (cut_sel as usize) % seq.len();
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
+        for parallelism in [Parallelism::Threads(1), Parallelism::Threads(2), Parallelism::Auto] {
             // Control: uninterrupted run, trace recorded from `cut` so
             // the comparison covers identical ground.
             let (control_suffix, control_final) = run(parallelism, n, &seq, cut, None);
@@ -143,7 +143,7 @@ proptest! {
         let seq: Vec<(usize, Vec<f64>)> =
             ops.iter().map(|&op| decode_op(op, n)).collect();
         let f = prod2();
-        let mut coord = Coordinator::new(f.clone(), n, cfg(Parallelism::Sequential));
+        let mut coord = Coordinator::new(f.clone(), n, cfg(Parallelism::Threads(1)));
         let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, f.clone())).collect();
         for (node, x) in &seq {
             step(&mut coord, &mut nodes, *node, x.clone(), None);

@@ -15,8 +15,8 @@
 //!
 //! Module map:
 //! - [`shard`] — stream→shard assignment ([`ShardMap`]): round-robin
-//!   or cell-router (same quantization as the decomposition-cache
-//!   key), plus crash-time adoption.
+//!   or cell-router (streams bucketed by the quantized cell of their
+//!   initial vector), plus crash-time adoption.
 //! - [`compose`] — the canonical shard-major summation order under
 //!   which weighted composition of partial means is *bitwise* equal to
 //!   the flat global mean.
@@ -33,5 +33,5 @@ mod fleet;
 mod shard;
 
 pub use fault::{FleetFaultPlan, LeafCrash, NodeCrash};
-pub use fleet::{Fleet, FleetConfig, FleetEvents, LEAF_CACHE_FN_ID, ROOT_CACHE_FN_ID};
+pub use fleet::{Fleet, FleetConfig, FleetEvents};
 pub use shard::ShardMap;

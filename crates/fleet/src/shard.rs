@@ -45,9 +45,8 @@ impl ShardMap {
     }
 
     /// Cell-router assignment: bucket each stream by the quantized cell
-    /// of its initial vector (the same [`quant::quantize_cell`] the
-    /// decomposition-cache key uses, so streams that land in one cell —
-    /// and would hit the same cache entries — colocate on one leaf).
+    /// of its initial vector ([`quant::quantize_cell`]), so streams that
+    /// land in one cell colocate on one leaf.
     /// Shards left empty by the hash are backfilled round-robin so
     /// every leaf coordinator has at least one member.
     pub fn by_cell(x0s: &[Vec<f64>], cell: f64, shards: usize) -> Self {

@@ -5,31 +5,15 @@
 //! `H = QΛQᵀ` of a constant Hessian so it can split it into a PSD part
 //! `H⁺ = QΛ⁺Qᵀ` and an NSD part `H⁻ = QΛ⁻Qᵀ`. The DC heuristic (paper
 //! §3.4) and ADCD-X both need extreme eigenvalues of Hessians evaluated
-//! at points. The default path is Householder tridiagonalization +
+//! at points. The production path is Householder tridiagonalization +
 //! implicit-shift QL ([`crate::tridiag`]) — an order of magnitude
-//! faster than Jacobi at ADCD sizes — with cyclic Jacobi retained under
-//! [`SymEigen::with_options`] / [`SpectralBackend::Jacobi`] as the
-//! simple, unconditionally convergent test oracle and escape hatch (and
-//! as the deterministic fallback should QL ever hit its iteration cap).
+//! faster than Jacobi at ADCD sizes. Cyclic Jacobi has two roles: the
+//! deterministic fallback should QL ever hit its iteration cap, and the
+//! simple, unconditionally convergent test oracle, reached through
+//! [`SymEigen::with_options`].
 
 use crate::tridiag::{ql_implicit, tridiagonalize};
 use crate::Matrix;
-
-/// Which spectral kernel to use for eigendecompositions.
-///
-/// Lives here (rather than in core's config) so every layer — config,
-/// CLI, benches, tests — shares one vocabulary for the escape hatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralBackend {
-    /// Householder tridiagonalization + implicit-shift QL for full
-    /// spectra; matrix-free Lanczos for extreme-only queries. The
-    /// default and the fast path.
-    #[default]
-    Ql,
-    /// Cyclic threshold Jacobi everywhere: the original kernel, kept as
-    /// the test oracle and rollback switch.
-    Jacobi,
-}
 
 /// Options controlling the Jacobi iteration.
 #[derive(Debug, Clone, Copy)]
@@ -75,29 +59,17 @@ pub struct SymEigen {
 }
 
 impl SymEigen {
-    /// Decompose a symmetric matrix with the default (QL) backend.
+    /// Decompose a symmetric matrix via Householder tridiagonalization +
+    /// implicit-shift QL, falling back to Jacobi if QL hits its
+    /// iteration cap (the fallback decision depends only on the
+    /// tridiagonal coefficients, which are identical across the
+    /// values-only and full flavors, so [`EigenWorkspace`]'s
+    /// bit-identity contract survives it).
     ///
     /// # Panics
     /// Panics if `h` is not square. Input asymmetry up to roundoff is
     /// tolerated: the matrix is symmetrized first.
     pub fn new(h: &Matrix) -> Self {
-        Self::ql(h)
-    }
-
-    /// Decompose with an explicit [`SpectralBackend`].
-    pub fn with_backend(h: &Matrix, backend: SpectralBackend) -> Self {
-        match backend {
-            SpectralBackend::Ql => Self::ql(h),
-            SpectralBackend::Jacobi => Self::with_options(h, JacobiOptions::default()),
-        }
-    }
-
-    /// Decompose via Householder tridiagonalization + implicit-shift QL,
-    /// falling back to Jacobi if QL hits its iteration cap (the
-    /// fallback decision depends only on the tridiagonal coefficients,
-    /// which are identical across the values-only and full flavors, so
-    /// [`EigenWorkspace`]'s bit-identity contract survives it).
-    fn ql(h: &Matrix) -> Self {
         assert_eq!(h.rows(), h.cols(), "SymEigen: matrix must be square");
         let n = h.rows();
         let mut a = h.clone();
@@ -300,38 +272,24 @@ impl EigenWorkspace {
         }
     }
 
-    /// The extreme eigenvalues `(λ_min, λ_max)` of symmetric `h` with
-    /// the default (QL) backend — the values `SymEigen::new(h)` would
-    /// report, without computing eigenvectors or allocating.
+    /// The extreme eigenvalues `(λ_min, λ_max)` of symmetric `h` via QL
+    /// — the values `SymEigen::new(h)` would report, without computing
+    /// eigenvectors or allocating.
     ///
     /// # Panics
     /// Panics if `h` is not square, is empty, or yields NaN eigenvalues.
     pub fn extreme_eigenvalues(&mut self, h: &Matrix) -> (f64, f64) {
-        self.extreme_eigenvalues_backend(h, SpectralBackend::Ql)
-    }
-
-    /// As [`Self::extreme_eigenvalues`] with an explicit backend.
-    pub fn extreme_eigenvalues_backend(
-        &mut self,
-        h: &Matrix,
-        backend: SpectralBackend,
-    ) -> (f64, f64) {
-        match backend {
-            SpectralBackend::Ql => {
-                let n = self.load(h);
-                self.offdiag.clear();
-                self.offdiag.resize(n, 0.0);
-                self.diag.clear();
-                self.diag.resize(n, 0.0);
-                tridiagonalize(&mut self.a, &mut self.diag, &mut self.offdiag, false);
-                if ql_implicit(&mut self.diag, &mut self.offdiag, None).is_err() {
-                    // Mirror SymEigen::ql's Jacobi fallback exactly.
-                    return self.extreme_eigenvalues_with(h, JacobiOptions::default());
-                }
-                self.sorted_extremes()
-            }
-            SpectralBackend::Jacobi => self.extreme_eigenvalues_with(h, JacobiOptions::default()),
+        let n = self.load(h);
+        self.offdiag.clear();
+        self.offdiag.resize(n, 0.0);
+        self.diag.clear();
+        self.diag.resize(n, 0.0);
+        tridiagonalize(&mut self.a, &mut self.diag, &mut self.offdiag, false);
+        if ql_implicit(&mut self.diag, &mut self.offdiag, None).is_err() {
+            // Mirror SymEigen::new's Jacobi fallback exactly.
+            return self.extreme_eigenvalues_with(h, JacobiOptions::default());
         }
+        self.sorted_extremes()
     }
 
     /// Extreme eigenvalues via the Jacobi oracle with explicit options
@@ -486,8 +444,8 @@ mod tests {
         for n in [2usize, 5, 16] {
             let mut a = Matrix::from_fn(n, n, |_, _| next());
             a.symmetrize();
-            let ql = SymEigen::with_backend(&a, SpectralBackend::Ql);
-            let jac = SymEigen::with_backend(&a, SpectralBackend::Jacobi);
+            let ql = SymEigen::new(&a);
+            let jac = SymEigen::with_options(&a, JacobiOptions::default());
             let scale = jac.lambda_max().abs().max(jac.lambda_min().abs()).max(1.0);
             for (x, y) in ql.values.iter().zip(&jac.values) {
                 assert!((x - y).abs() <= 1e-9 * scale, "n={n}: {x} vs {y}");
@@ -507,8 +465,8 @@ mod tests {
         for n in [2usize, 4, 9] {
             let mut a = Matrix::from_fn(n, n, |_, _| next());
             a.symmetrize();
-            let e = SymEigen::with_backend(&a, SpectralBackend::Jacobi);
-            let (lo, hi) = ws.extreme_eigenvalues_backend(&a, SpectralBackend::Jacobi);
+            let e = SymEigen::with_options(&a, JacobiOptions::default());
+            let (lo, hi) = ws.extreme_eigenvalues_with(&a, JacobiOptions::default());
             assert_eq!(lo.to_bits(), e.lambda_min().to_bits());
             assert_eq!(hi.to_bits(), e.lambda_max().to_bits());
         }

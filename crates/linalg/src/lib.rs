@@ -14,13 +14,13 @@
 //!   Hessian-vector products through the [`SymOperator`] trait.
 //!
 //! The paper's prototype delegates these to NumPy/MKL; this crate is
-//! the from-scratch Rust replacement. The spectral kernel is two-tier
-//! ([`SpectralBackend::Ql`], the default): Householder reduction +
-//! implicit-shift QL when the full spectrum is needed, Lanczos with
-//! full reorthogonalization when only `λ_min`/`λ_max` are. The original
-//! cyclic Jacobi kernel — simple and unconditionally convergent, but an
-//! order of magnitude slower at d≈100 — remains as the test oracle and
-//! the [`SpectralBackend::Jacobi`] escape hatch.
+//! the from-scratch Rust replacement. The spectral kernel is two-tier:
+//! Householder reduction + implicit-shift QL when the full spectrum is
+//! needed, Lanczos with full reorthogonalization when only
+//! `λ_min`/`λ_max` are. The original cyclic Jacobi kernel — simple and
+//! unconditionally convergent, but an order of magnitude slower at
+//! d≈100 — remains as QL's iteration-cap fallback and as the test
+//! oracle ([`SymEigen::with_options`]).
 
 mod eigen;
 mod lanczos;
@@ -28,6 +28,6 @@ mod matrix;
 mod tridiag;
 pub mod vector;
 
-pub use eigen::{EigenWorkspace, JacobiOptions, SpectralBackend, SymEigen};
+pub use eigen::{EigenWorkspace, JacobiOptions, SymEigen};
 pub use lanczos::{LanczosOptions, LanczosStats, LanczosWorkspace, MatrixOperator, RitzSide, SymOperator};
 pub use matrix::Matrix;

@@ -384,7 +384,8 @@ impl NetSimulation {
 
             while let Some((_span, m)) = reactor.pop_inbound() {
                 progress = true;
-                *messages += 1;
+                // Counted once, on send (`send_report`), like the
+                // in-process fabric.
                 trace.push_str(&format!(
                     "{{\"round\":{t},\"ev\":\"deliver\",\"node\":{},\"kind\":\"{}\"}}\n",
                     m.sender(),

@@ -68,8 +68,8 @@ fn report_json(report: &FleetReport) -> String {
 
 #[test]
 fn plain_fleet_run_is_byte_identical() {
-    let (ra, ta, ma) = run(Parallelism::Sequential, None);
-    let (rb, tb, mb) = run(Parallelism::Sequential, None);
+    let (ra, ta, ma) = run(Parallelism::Threads(1), None);
+    let (rb, tb, mb) = run(Parallelism::Threads(1), None);
     assert!(!ta.is_empty(), "instrumented run must emit events");
     assert_eq!(report_json(&ra), report_json(&rb));
     assert_eq!(ta, tb);
@@ -78,8 +78,8 @@ fn plain_fleet_run_is_byte_identical() {
 
 #[test]
 fn faulted_fleet_run_is_byte_identical() {
-    let (ra, ta, ma) = run(Parallelism::Sequential, Some(faults()));
-    let (rb, tb, mb) = run(Parallelism::Sequential, Some(faults()));
+    let (ra, ta, ma) = run(Parallelism::Threads(1), Some(faults()));
+    let (rb, tb, mb) = run(Parallelism::Threads(1), Some(faults()));
     assert_eq!(ra.node_crashes, 2);
     assert_eq!(ra.leaf_crashes, 1);
     assert_eq!(ra.rebalances, 1);
@@ -91,7 +91,7 @@ fn faulted_fleet_run_is_byte_identical() {
 
 #[test]
 fn parallelism_is_a_latency_knob_not_a_semantics_knob() {
-    let (reference, ref_trace, ref_metrics) = run(Parallelism::Sequential, Some(faults()));
+    let (reference, ref_trace, ref_metrics) = run(Parallelism::Threads(1), Some(faults()));
     for par in [Parallelism::Threads(2), Parallelism::Threads(5), Parallelism::Auto] {
         let (got, trace, metrics) = run(par, Some(faults()));
         assert_eq!(report_json(&reference), report_json(&got), "{par:?}");
@@ -103,7 +103,7 @@ fn parallelism_is_a_latency_knob_not_a_semantics_knob() {
 #[test]
 fn combined_ledger_conserves_two_tier_totals() {
     for plan in [None, Some(faults())] {
-        let (report, _, _) = run(Parallelism::Sequential, plan.clone());
+        let (report, _, _) = run(Parallelism::Threads(1), plan.clone());
         let entries = report.stats.ledger.as_deref().expect("ledger recorded");
         let msgs: u64 = entries.iter().map(|e| e.msgs).sum();
         let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
@@ -129,7 +129,7 @@ fn combined_ledger_conserves_two_tier_totals() {
 
 #[test]
 fn root_tier_carries_only_tier_causes_and_stays_sublinear() {
-    let (report, _, _) = run(Parallelism::Sequential, None);
+    let (report, _, _) = run(Parallelism::Threads(1), None);
     assert!(report.leaf_reports > 0, "drifting data must reach the root");
     assert!(
         report.root_messages < report.leaf_messages,

@@ -40,7 +40,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Conservation holds for every parallelism setting, and the rollup
-    /// itself is identical to the sequential reference (the ledger is
+    /// itself is identical to the one-thread reference (the ledger is
     /// charged in the fabric's sequential accounting section, so worker
     /// count must not perturb it).
     #[test]
@@ -50,7 +50,7 @@ proptest! {
             let cfg = MonitorConfig::builder(0.2).parallelism(par).build();
             Simulation::new(f.clone(), cfg).run(&w)
         };
-        let reference = run(Parallelism::Sequential);
+        let reference = run(Parallelism::Threads(1));
         assert_conserved(&reference);
         for par in [Parallelism::Threads(2), Parallelism::Threads(5), Parallelism::Auto] {
             let got = run(par);

@@ -1,17 +1,18 @@
 //! Determinism of the parallel full-sync pipeline (DESIGN.md §3.7).
 //!
-//! `Parallelism` is a latency knob, not a semantics knob: the batched
-//! eigen search and the fabric's parallel constraint fan-out must return
-//! results bit-identical to the sequential reference path for the same
-//! seed. These properties drive random polynomials and the Rozenbrock
-//! function through both paths and compare every output exactly.
+//! `Parallelism` is a latency knob, not a semantics knob: the eigen
+//! search and the fabric's parallel constraint fan-out must return
+//! results bit-identical to the one-thread run (`Threads(1)`, everything
+//! inline) for the same seed. These properties drive random polynomials
+//! and the Rozenbrock function through every worker count and compare
+//! every output exactly.
 
 use std::sync::Arc;
 
 use automon_autodiff::{AutoDiffFn, Scalar, ScalarFn};
 use automon_core::{
-    adcd, AdcdKind, Curvature, DcDecomposition, EigenSearch, MonitorConfig, MonitoredFunction,
-    NeighborhoodBox, Parallelism, SpectralBackend,
+    adcd, AdcdKind, Curvature, DcDecomposition, EigenObjective, EigenSearch, MonitorConfig,
+    MonitoredFunction, NeighborhoodBox, Parallelism,
 };
 use automon_functions::Rozenbrock;
 use automon_sim::{Simulation, Workload};
@@ -51,8 +52,8 @@ impl ScalarFn for RandomPoly {
     }
 }
 
-fn cfg(par: Parallelism, seed: u64, backend: SpectralBackend) -> MonitorConfig {
-    MonitorConfig::builder(0.1)
+fn cfg(par: Parallelism, seed: u64, objective: EigenObjective) -> MonitorConfig {
+    let mut c = MonitorConfig::builder(0.1)
         .adcd(AdcdKind::X)
         .eigen_search(EigenSearch {
             probes: 5,
@@ -60,9 +61,11 @@ fn cfg(par: Parallelism, seed: u64, backend: SpectralBackend) -> MonitorConfig {
             seed,
             ..Default::default()
         })
-        .parallelism(par)
-        .spectral_backend(backend)
-        .build()
+        .parallelism(par);
+    if objective == EigenObjective::Gershgorin {
+        c = c.gershgorin_bounds();
+    }
+    c.build()
 }
 
 fn assert_identical(a: &DcDecomposition, b: &DcDecomposition) {
@@ -96,19 +99,18 @@ fn assert_identical(a: &DcDecomposition, b: &DcDecomposition) {
 }
 
 /// Decompose under every parallelism setting and compare against the
-/// sequential reference — for the Lanczos-backed default and for the
-/// Jacobi escape hatch alike.
+/// one-thread reference — for the matrix-free Lanczos search and for
+/// the batched Gershgorin pipeline alike.
 fn check_all_settings(f: &dyn MonitoredFunction, x0: &[f64], b: &NeighborhoodBox, seed: u64) {
-    for backend in [SpectralBackend::Ql, SpectralBackend::Jacobi] {
-        let reference =
-            adcd::decompose(f, x0, Some(b), &cfg(Parallelism::Sequential, seed, backend));
+    for objective in [EigenObjective::Exact, EigenObjective::Gershgorin] {
+        let one = cfg(Parallelism::Threads(1), seed, objective);
+        let reference = adcd::decompose(f, x0, Some(b), &one);
         for par in [
-            Parallelism::Threads(1),
             Parallelism::Threads(2),
             Parallelism::Threads(7),
             Parallelism::Auto,
         ] {
-            let got = adcd::decompose(f, x0, Some(b), &cfg(par, seed, backend));
+            let got = adcd::decompose(f, x0, Some(b), &cfg(par, seed, objective));
             assert_identical(&reference, &got);
         }
     }
@@ -117,8 +119,8 @@ fn check_all_settings(f: &dyn MonitoredFunction, x0: &[f64], b: &NeighborhoodBox
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The batched ADCD-X eigen search is bit-identical to the
-    /// sequential path on random polynomials, for any worker count.
+    /// The ADCD-X eigen search is bit-identical to the one-thread run
+    /// on random polynomials, for any worker count.
     #[test]
     fn random_polynomial_decomposition_matches_sequential(
         cubic in proptest::collection::vec(-2.0f64..2.0, 3),
@@ -184,7 +186,7 @@ proptest! {
                 .build();
             Simulation::new(f.clone(), cfg).run(&w)
         };
-        let reference = run(Parallelism::Sequential);
+        let reference = run(Parallelism::Threads(1));
         for par in [Parallelism::Threads(2), Parallelism::Auto] {
             let got = run(par);
             prop_assert_eq!(reference.messages, got.messages);

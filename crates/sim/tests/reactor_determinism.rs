@@ -153,6 +153,8 @@ fn fault_free_reactor_matches_in_process_fabric() {
     assert_eq!(net.stats.missed_violation_rounds, fabric.missed_violation_rounds);
     assert_eq!(net.stats.max_error.to_bits(), fabric.max_error.to_bits());
     assert_eq!(net.stats.mean_error.to_bits(), fabric.mean_error.to_bits());
+    assert_eq!(net.stats.messages, fabric.messages);
+    assert_eq!(net.stats.payload_bytes, fabric.payload_bytes);
     assert_eq!(net.stats.retransmits, 0, "no faults, no retransmits");
     assert_eq!(net.stats.injected_faults, 0);
 }

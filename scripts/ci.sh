@@ -20,31 +20,28 @@
 #      fixed-seed d=40 symmetric matrix (DESIGN.md §3.10); catches any
 #      drift between the production QL/Lanczos kernels and the Jacobi
 #      oracle before the proptest suite would.
-#   7. decomposition-cache parity smoke — enabling --decomp-cache under
-#      each eviction policy must leave the simulate output byte-identical
-#      to the cache-off run (DESIGN.md §3.11's bit-identity contract).
-#   8. trace determinism + diff smoke — same-seed runs must emit
+#   7. trace determinism + diff smoke — same-seed runs must emit
 #      byte-identical --trace-out files (`automon trace diff` exits 0);
 #      a perturbed run must be pinpointed with its first divergent seq
 #      and span path (DESIGN.md §3.12).
-#   9. ledger conservation + summarize smoke — the per-cause ledger in
+#   8. ledger conservation + summarize smoke — the per-cause ledger in
 #      the --json output must sum exactly to messages/payload_bytes,
 #      and `automon trace summarize` must render the bytes/update-by-
 #      cause table, for inner-product and variance.
-#  10. crash-coordinator determinism smoke — killing the coordinator
+#   9. crash-coordinator determinism smoke — killing the coordinator
 #      mid-run and rebuilding it from the durable store must stay
 #      byte-deterministic: same seed + --crash-coordinator gives an
 #      identical --json report and a byte-identical trace (`automon
 #      trace diff` exits 0), with the recovery resync charged to the
 #      `recovery` ledger cause (docs/DURABILITY.md).
-#  11. fleet determinism smoke — the two-tier sharded run (1k streams,
+#  10. fleet determinism smoke — the two-tier sharded run (1k streams,
 #      8 shards, a node crash/restart and a leaf crash) must be
 #      byte-deterministic: two identical invocations give the same
 #      --json report and byte-identical traces (`automon trace diff`
 #      exits 0), the combined two-tier ledger must conserve the fleet's
 #      message/byte totals, and the root tier must carry fewer messages
 #      than the leaf tier (DESIGN.md §3.14).
-#  12. net runtime smoke — (a) reactor determinism: the sim-poller
+#  11. net runtime smoke — (a) reactor determinism: the sim-poller
 #      backend under frame-level chaos must give a byte-identical
 #      --trace-out and identical stats for the same seeds; (b) backend
 #      parity: the threaded and reactor socket backends must produce
@@ -128,21 +125,6 @@ if ! grep -q "PASS" <<<"$SMOKE_OUT"; then
     exit 1
 fi
 echo "    $SMOKE_OUT"
-
-echo "==> decomposition-cache parity smoke"
-CACHE_ARGS=(simulate --function rozenbrock --nodes 4 --rounds 90
-    --epsilon 0.2 --json)
-base=$(cargo run --release -q -p automon-cli -- "${CACHE_ARGS[@]}")
-for policy in lru-k slru arc; do
-    cached=$(cargo run --release -q -p automon-cli -- "${CACHE_ARGS[@]}" \
-        --decomp-cache "$policy")
-    if [[ "$cached" != "$base" ]]; then
-        echo "FAIL: --decomp-cache $policy changed the monitoring output" >&2
-        diff <(printf '%s\n' "$base") <(printf '%s\n' "$cached") >&2 || true
-        exit 1
-    fi
-    echo "    $policy: bit-identical to cache-off"
-done
 
 echo "==> trace determinism + diff smoke"
 TDIR=$(mktemp -d)
